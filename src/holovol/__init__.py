@@ -8,6 +8,8 @@ comparison bands (`bergman`), and a scenario harness with a CLI (`harness`,
 `cli`).
 """
 
+__version__ = "0.1.0"
+
 from . import errors
 from .bergman import (
     BergmanValue,
@@ -51,10 +53,8 @@ from .harness import (
 )
 from .minimal_basis import (
     MinimalBasis,
-    boundary_distance_in_slice,
     distance_product,
     minimal_basis,
-    p_D,
     slice_distance,
 )
 from .normalization import (
@@ -64,7 +64,6 @@ from .normalization import (
     build_T,
     c_n,
     lemma_margins,
-    normalize,
     random_admissible_A,
     sample_en,
     supporting_normal,
@@ -84,21 +83,19 @@ from .volume_elements import (
     scaling_bound_polydisc,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AffineBallImage", "BergmanValue", "Domain", "ExactOracle",
     "HalfspaceConvex", "Interval", "L1Ball", "MembershipOracle", "MinimalBasis",
     "Normalization", "Polydisc", "QuotientBound", "Scenario", "SiegelHalfSpace",
     "applicable_checks", "bergman_closed", "bergman_from_moments",
-    "bergman_reinhardt", "beta_excess", "boundary_distance_in_slice",
-    "bounded_domain_lower_bound", "build_A", "build_T", "c_n", "cayley",
+    "bergman_reinhardt", "beta_excess", "bounded_domain_lower_bound",
+    "build_A", "build_T", "c_n", "cayley",
     "cayley_inverse", "certified_interval", "circumscribed_radius", "contains",
     "diameter", "distance_product", "domain_from_json", "domain_to_json",
     "emit_csv", "emit_json", "errors", "evaluate_point", "exact_volume_element",
     "ge_constants", "kernel_product_bounds", "kernel_sandwich_check",
-    "lemma_margins", "minimal_basis", "monotonicity_bounds", "normalize",
-    "p_D", "parse_scenario", "psi_det0_squared", "psi_jacobian_det", "psi_map",
+    "lemma_margins", "minimal_basis", "monotonicity_bounds", "parse_scenario",
+    "psi_det0_squared", "psi_jacobian_det", "psi_map",
     "quotient_lower_bound", "random_admissible_A", "ratio_band", "ratio_check",
     "run_scenario", "sample_en", "sample_interior", "scaling_bound_polydisc",
     "slice_distance", "supporting_normal", "symmetrized_bidisc", "unit_ball",

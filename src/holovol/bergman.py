@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .domains import (
-    CONVEX,
-    C_CONVEX,
-    AffineBallImage,
-    Domain,
-    L1Ball,
-    Polydisc,
-    contains,
-)
+from .domains import CONVEX, C_CONVEX, AffineBallImage, Domain, contains
 from .errors import PointOutsideDomain, TailDiverges, UnsupportedDomain
 from .linalg import as_cvector
 from .volume_elements import Interval
@@ -119,21 +111,30 @@ class RadialProfile2D:
         return (2.0 * math.pi) ** 2 / (2 * a2 + 2) * val
 
 
+def _ball_image_moments(domain: AffineBallImage):
+    G = domain.matrix @ domain.matrix.conj().T
+    off = G - np.diag(np.diag(G))
+    if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(np.diag(G))):
+        raise UnsupportedDomain(
+            "ball image is Reinhardt only for (unitarily) diagonal M")
+    return DiagBallMoments(np.sqrt(np.diag(G).real)), domain.center
+
+
+#: Domain.variant -> (moments, Reinhardt center) for complete Reinhardt backends
+REINHARDT_MOMENTS = {
+    "polydisc": lambda d: (PolydiscMoments(d.radii), d.center),
+    "l1ball": lambda d: (L1BallMoments(d.n, d.scale), np.zeros(d.n, complex)),
+    "ball_image": _ball_image_moments,
+}
+
+
 def reinhardt_moments_for(domain: Domain):
     """(moments, center) for backends that are complete Reinhardt domains."""
-    if isinstance(domain, Polydisc):
-        return PolydiscMoments(domain.radii), domain.center
-    if isinstance(domain, L1Ball):
-        return L1BallMoments(domain.n, domain.scale), np.zeros(domain.n, complex)
-    if isinstance(domain, AffineBallImage):
-        G = domain.matrix @ domain.matrix.conj().T
-        off = G - np.diag(np.diag(G))
-        if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(np.diag(G))):
-            raise UnsupportedDomain(
-                "ball image is Reinhardt only for (unitarily) diagonal M")
-        return DiagBallMoments(np.sqrt(np.diag(G).real)), domain.center
-    raise UnsupportedDomain(
-        f"{type(domain).__name__} has no complete Reinhardt description")
+    moments = REINHARDT_MOMENTS.get(domain.variant)
+    if moments is None:
+        raise UnsupportedDomain(
+            f"{type(domain).__name__} has no complete Reinhardt description")
+    return moments(domain)
 
 
 def _compositions(total: int, parts: int):
@@ -199,7 +200,7 @@ def ball_kernel(n: int, w) -> float:
 
 def bergman_closed(domain: Domain, z) -> BergmanValue:
     z = as_cvector(z, domain.n)
-    if isinstance(domain, Polydisc):
+    if domain.variant == "polydisc":
         if not contains(domain, z):
             raise PointOutsideDomain("Bergman kernel evaluated outside the domain")
         rel2 = np.abs(z - domain.center) ** 2

@@ -19,9 +19,10 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .bergman import kernel_product_bounds, ratio_band
 from .errors import HolovolError
-from .harness import emit_csv, emit_json, run_scenario, __version__
+from .harness import emit_csv, emit_json, run_scenario
 from .normalization import (
     beta_excess,
     c_n,

@@ -18,7 +18,9 @@ batch out.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,13 +30,14 @@ from .errors import (
     ConfigInvalid,
     DegenerateDomain,
     DimensionMismatch,
+    HolovolError,
     NoOracle,
+    NotSupporting,
     PointOutsideDomain,
     UnboundedDomain,
-    UnsupportedDomain,
-    HolovolError,
+    UnsupportedBackend,
 )
-from .linalg import as_cvector, uniform_ball
+from .linalg import as_cvector, phase, uniform_ball
 
 CONVEX = "convex"
 C_CONVEX = "c_convex"
@@ -134,17 +137,75 @@ def cayley_jacobian_det(w: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# helpers shared by the backends
+# ---------------------------------------------------------------------------
+
+
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ConfigInvalid(f"{what} must be finite")
+
+
+def polydisc_box(center: np.ndarray, radii) -> np.ndarray:
+    """Real (2n, 2) [min, max] box around a polydisc, coordinates ordered
+    (Re z_1, Im z_1, ..., Re z_n, Im z_n)."""
+    box = np.empty((2 * center.shape[0], 2))
+    box[0::2, 0], box[0::2, 1] = center.real - radii, center.real + radii
+    box[1::2, 0], box[1::2, 1] = center.imag - radii, center.imag + radii
+    return box
+
+
+def _rejection_sample(domain: "Domain", count: int, rng: np.random.Generator,
+                      box, fallback: Callable | None = None) -> np.ndarray:
+    """Uniform samples inside `box` that `domain` accepts.
+
+    When acceptance stays too low, ``fallback(missing, rng)`` fills the rest if
+    given; otherwise sampling fails.
+    """
+    n = domain.n
+    box = np.asarray(box, dtype=np.float64)
+    out = np.empty((0, n), dtype=np.complex128)
+    attempts = 0
+    limit = 25 if fallback else 2000
+    while out.shape[0] < count:
+        m = max(4 * count, 512)
+        u = rng.random((m, 2 * n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
+        cand = u[:, 0::2] + 1j * u[:, 1::2]
+        out = np.vstack([out, cand[domain.contains_many(cand)]])
+        attempts += 1
+        if attempts > limit and out.shape[0] < count:
+            if fallback:
+                return np.vstack([out, fallback(count - out.shape[0], rng)])[:count]
+            raise HolovolError("rejection sampling acceptance rate too low")
+    return out[:count]
+
+
+def _vec2j(v: np.ndarray) -> list:
+    return [[float(np.real(x)), float(np.imag(x))] for x in v]
+
+
+def _j2vec(data) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+
+
+# ---------------------------------------------------------------------------
 # domain variants
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class Domain:
-    """Common base: dimension and convexity class tag.
+    """Common base: dimension, convexity class tag and the backend protocol.
 
     The tag is structural for the five geometric variants (all convex, hence
     also C-convex); a MembershipOracle carries whatever the caller declares,
     and that declaration is trusted (recorded in reports, never verified).
+
+    The methods below are what every backend answers; the defaults suit a
+    domain known only through membership.  Modules that import this one key
+    their per-backend code by ``variant``: slice kernels in ``minimal_basis``,
+    Reinhardt moments in ``bergman``, the sampled LP normal of oracles in
+    ``normalization``.
     """
 
     n: int
@@ -156,12 +217,8 @@ class Domain:
         if self.n < 2:
             raise BadDimension(f"domains need n >= 2, got n={self.n}")
 
-    # -- membership ---------------------------------------------------------
-
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    # -- size ----------------------------------------------------------------
 
     @property
     def bounded(self) -> bool:
@@ -170,6 +227,36 @@ class Domain:
     @property
     def exact_oracle(self) -> ExactOracle | None:
         return None
+
+    @property
+    def supports_normals(self) -> bool:
+        """Supporting hyperplanes are certified on convex domains and verified
+        on interior samples of the whole domain: drawn from a bounded body, or
+        pushed through a ball biholomorphism."""
+        return self.convexity_class == CONVEX and (
+            self.bounded or self.exact_oracle is not None)
+
+    def diameter(self) -> float:
+        return math.inf
+
+    def circumscribed_radius(self, z: np.ndarray) -> float:
+        return math.inf
+
+    def sample(self, count: int, rng: np.random.Generator, box=None) -> np.ndarray:
+        if box is None:
+            raise UnboundedDomain("rejection sampling needs a bounding box")
+        return _rejection_sample(self, count, rng, box)
+
+    def outward_normal(self, p: np.ndarray, constraint_index: int | None = None):
+        raise UnsupportedBackend(
+            f"no supporting-normal backend for {type(self).__name__}")
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, "n": self.n, "class": self.convexity_class}
+
+    @classmethod
+    def from_json(cls, n: int, data: dict) -> "Domain":
+        return cls(n)
 
 
 @dataclass
@@ -187,10 +274,9 @@ class HalfspaceConvex(Domain):
         self.offsets = np.atleast_1d(np.asarray(self.offsets, dtype=np.float64))
         if self.normals.shape[1] != self.n or self.normals.shape[0] != self.offsets.shape[0]:
             raise ConfigInvalid("halfspace constraint shapes inconsistent")
+        _require_finite("halfspace constraints", self.normals, self.offsets)
         if np.any(np.linalg.norm(self.normals, axis=1) == 0):
             raise ConfigInvalid("zero constraint normal")
-        self._box = None  # cached real bounding box, shape (2n, 2) or "unbounded"
-        self._cheb = None  # cached Chebyshev center
 
     def contains_many(self, pts):
         lhs = (pts @ self.normals.conj().T).real  # Re <z, a_i>
@@ -204,10 +290,9 @@ class HalfspaceConvex(Domain):
         A[:, 1::2] = self.normals.imag
         return A, self.offsets.copy()
 
-    def bounding_box(self):
-        """Real coordinate bounding box via 4n support LPs, or None if unbounded."""
-        if self._box is not None:
-            return None if self._box == "unbounded" else self._box[0]
+    @cached_property
+    def bounding_box(self) -> np.ndarray | None:
+        """Real (2n, 2) coordinate bounding box via 4n support LPs, or None if unbounded."""
         from scipy.optimize import linprog
 
         A, b = self._real_lp_data()
@@ -220,39 +305,102 @@ class HalfspaceConvex(Domain):
                 res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d,
                               method="highs")
                 if res.status == 3:  # unbounded
-                    self._box = "unbounded"
                     return None
                 if res.status != 0:
                     raise HolovolError(f"support LP failed: {res.message}")
-                box[i, col] = -res.fun if sign < 0 else res.fun
-        # columns: [min, max] per real coordinate
-        box = np.stack([box[:, 0], box[:, 1]], axis=1)
-        self._box = (box,)
+                box[i, col] = -res.fun if sign < 0 else res.fun  # [min, max]
         return box
 
     @property
     def bounded(self) -> bool:
-        return self.bounding_box() is not None
+        return self.bounding_box is not None
 
+    @cached_property
     def chebyshev_center(self) -> np.ndarray:
         """Center of the largest inscribed real ball, as a complex vector."""
-        if self._cheb is None:
-            from scipy.optimize import linprog
+        from scipy.optimize import linprog
 
-            A, b = self._real_lp_data()
-            d = 2 * self.n
-            norms = np.linalg.norm(A, axis=1)
-            c = np.zeros(d + 1)
-            c[-1] = -1.0
-            res = linprog(c, A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
-                          bounds=[(None, None)] * d + [(0.0, None)],
-                          method="highs")
-            if res.status == 3:
-                raise UnboundedDomain("no finite inscribed-ball center")
-            if res.status != 0 or res.x[-1] <= 0:
-                raise HolovolError(f"inscribed-ball LP failed: {res.message}")
-            self._cheb = res.x[:d:2] + 1j * res.x[1:d:2]
-        return self._cheb.copy()
+        A, b = self._real_lp_data()
+        d = 2 * self.n
+        norms = np.linalg.norm(A, axis=1)
+        c = np.zeros(d + 1)
+        c[-1] = -1.0
+        res = linprog(c, A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
+                      bounds=[(None, None)] * d + [(0.0, None)],
+                      method="highs")
+        if res.status == 3:
+            raise UnboundedDomain("no finite inscribed-ball center")
+        if res.status != 0 or res.x[-1] <= 0:
+            raise HolovolError(f"inscribed-ball LP failed: {res.message}")
+        return res.x[:d:2] + 1j * res.x[1:d:2]
+
+    def diameter(self) -> float:
+        """Certified upper bound: the diagonal of the bounding box."""
+        box = self.bounding_box
+        if box is None:
+            return math.inf
+        return float(np.linalg.norm(box[:, 1] - box[:, 0]))
+
+    def circumscribed_radius(self, z):
+        box = self.bounding_box
+        if box is None:
+            return math.inf
+        # farthest corner of the real bounding box
+        zr = np.empty(2 * self.n)
+        zr[0::2], zr[1::2] = z.real, z.imag
+        far = np.maximum(np.abs(box[:, 0] - zr), np.abs(box[:, 1] - zr))
+        return float(np.linalg.norm(far))
+
+    def sample(self, count, rng, box=None):
+        if box is None and self.bounded:
+            # thin polytopes defeat box rejection
+            return _rejection_sample(self, count, rng, self.bounding_box,
+                                     fallback=self._ray_samples)
+        return super().sample(count, rng, box)
+
+    def _ray_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Star-shaped sampling of a bounded polytope from its Chebyshev center.
+
+        Casts uniform sphere directions from the center of the largest inscribed
+        ball and places a point at a random fraction of the exit distance.  Not
+        volume-uniform, but covers the whole body with a guaranteed acceptance
+        rate of one, which is what the inclusion checks need on thin polytopes.
+        """
+        n = self.n
+        x0 = self.chebyshev_center
+        slack = self.offsets - (self.normals.conj() @ x0).real
+        out = np.empty((count, n), dtype=np.complex128)
+        filled = 0
+        while filled < count:
+            m = count - filled
+            u = rng.normal(size=(m, 2 * n))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            d = u[:, 0::2] + 1j * u[:, 1::2]
+            proj = (d @ self.normals.conj().T).real
+            with np.errstate(divide="ignore"):
+                t = np.where(proj > 1e-14, slack[None, :] / proj, np.inf).min(axis=1)
+            s = rng.random(m) ** (1.0 / (2 * n))
+            pts = x0[None, :] + (s * t * (1.0 - 1e-9))[:, None] * d
+            good = self.contains_many(pts)
+            out[filled:filled + int(good.sum())] = pts[good]
+            filled += int(good.sum())
+        return out
+
+    def outward_normal(self, p, constraint_index=None):
+        if constraint_index is None:
+            raise NotSupporting("missing active constraint index")
+        return self.normals[constraint_index].astype(np.complex128)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(),
+                "constraints": [{"a": _vec2j(a), "b": float(b)}
+                                for a, b in zip(self.normals, self.offsets)]}
+
+    @classmethod
+    def from_json(cls, n, data):
+        cons = data["constraints"]
+        return cls(n, normals=np.array([_j2vec(c["a"]) for c in cons]),
+                   offsets=np.array([float(c["b"]) for c in cons]))
 
 
 @dataclass
@@ -267,6 +415,8 @@ class AffineBallImage(Domain):
     def __post_init__(self):
         super().__post_init__()
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
+        _require_finite("ball-image matrix and center", self.matrix,
+                        np.asarray(self.center, dtype=np.complex128))
         self.center = as_cvector(self.center, self.n)
         if self.matrix.shape != (self.n, self.n):
             raise ConfigInvalid(f"matrix shape {self.matrix.shape} != ({self.n},{self.n})")
@@ -289,18 +439,35 @@ class AffineBallImage(Domain):
 
     @property
     def exact_oracle(self) -> ExactOracle:
-        M, c, det = self.matrix, self.center, self._det
+        return ExactOracle(
+            self.n,
+            forward=lambda w: np.atleast_2d(w) @ self.matrix.T + self.center,
+            inverse=lambda z: self.to_ball(np.atleast_2d(z)),
+            jacobian_det=lambda w: np.full(np.atleast_2d(w).shape[0], self._det,
+                                           dtype=np.complex128),
+        )
 
-        def forward(w):
-            return np.atleast_2d(w) @ M.T + c
+    def diameter(self) -> float:
+        return 2.0 * float(self._sv[0])
 
-        def inverse(z):
-            return (np.atleast_2d(z) - c) @ self._inv.T
+    def circumscribed_radius(self, z):
+        return float(np.linalg.norm(z - self.center)) + float(self._sv[0])
 
-        def jac(w):
-            return np.full(np.atleast_2d(w).shape[0], det, dtype=np.complex128)
+    def sample(self, count, rng, box=None):
+        return self.exact_oracle.forward(uniform_ball(self.n, count, rng))
 
-        return ExactOracle(self.n, forward, inverse, jac)
+    def outward_normal(self, p, constraint_index=None):
+        M = self.matrix
+        return np.linalg.inv(M @ M.conj().T) @ (p - self.center)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "matrix": [_vec2j(row) for row in self.matrix],
+                "center": _vec2j(self.center)}
+
+    @classmethod
+    def from_json(cls, n, data):
+        M = np.array([_j2vec(row) for row in data["matrix"]])
+        return cls(n, matrix=M, center=_j2vec(data["center"]))
 
 
 @dataclass
@@ -314,8 +481,10 @@ class Polydisc(Domain):
 
     def __post_init__(self):
         super().__post_init__()
-        self.center = as_cvector(self.center, self.n)
         self.radii = np.atleast_1d(np.asarray(self.radii, dtype=np.float64))
+        _require_finite("polydisc center and radii", self.radii,
+                        np.asarray(self.center, dtype=np.complex128))
+        self.center = as_cvector(self.center, self.n)
         if self.radii.shape[0] != self.n or np.any(self.radii <= 0):
             raise ConfigInvalid("polydisc needs n positive radii")
 
@@ -325,6 +494,33 @@ class Polydisc(Domain):
     @property
     def bounded(self) -> bool:
         return True
+
+    def diameter(self) -> float:
+        return 2.0 * float(np.linalg.norm(self.radii))
+
+    def circumscribed_radius(self, z):
+        return float(np.linalg.norm(np.abs(z - self.center) + self.radii))
+
+    def sample(self, count, rng, box=None):
+        u = rng.random((count, self.n))
+        theta = rng.random((count, self.n)) * 2 * np.pi
+        return self.center + self.radii * np.sqrt(u) * np.exp(1j * theta)
+
+    def outward_normal(self, p, constraint_index=None):
+        rel = p - self.center
+        k = int(np.argmin(self.radii - np.abs(rel)))
+        nu = np.zeros(self.n, dtype=np.complex128)
+        nu[k] = phase(rel[k])
+        return nu
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "center": _vec2j(self.center),
+                "radii": [float(r) for r in self.radii]}
+
+    @classmethod
+    def from_json(cls, n, data):
+        return cls(n, center=_j2vec(data["center"]),
+                   radii=np.asarray(data["radii"], dtype=float))
 
 
 @dataclass
@@ -338,8 +534,8 @@ class L1Ball(Domain):
     def __post_init__(self):
         super().__post_init__()
         self.scale = float(self.scale)
-        if not (self.scale > 0):
-            raise ConfigInvalid("l1 ball scale must be positive")
+        if not (0 < self.scale < math.inf):
+            raise ConfigInvalid("l1 ball scale must be positive and finite")
 
     def contains_many(self, pts):
         return np.sum(np.abs(pts), axis=1) < self.scale
@@ -347,6 +543,35 @@ class L1Ball(Domain):
     @property
     def bounded(self) -> bool:
         return True
+
+    def diameter(self) -> float:
+        return 2.0 * self.scale
+
+    def circumscribed_radius(self, z):
+        s = self.scale
+        nz = float(np.linalg.norm(z))
+        return math.sqrt(nz * nz + s * s + 2.0 * s * float(np.max(np.abs(z))))
+
+    def sample(self, count, rng, box=None):
+        # rejection from the circumscribing polydisc; acceptance is fine for n <= 4
+        n = self.n
+        box_dom = Polydisc(n, center=np.zeros(n), radii=np.full(n, self.scale))
+        out = np.empty((0, n), dtype=np.complex128)
+        while out.shape[0] < count:
+            cand = box_dom.sample(max(count, 256), rng)
+            out = np.vstack([out, cand[self.contains_many(cand)]])
+        return out[:count]
+
+    def outward_normal(self, p, constraint_index=None):
+        return np.array([phase(c) if abs(c) > 0 else 0.0 for c in p],
+                        dtype=np.complex128)
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "scale": self.scale}
+
+    @classmethod
+    def from_json(cls, n, data):
+        return cls(n, scale=float(data["scale"]))
 
 
 @dataclass
@@ -376,6 +601,16 @@ class SiegelHalfSpace(Domain):
             jacobian_det=lambda w: cayley_jacobian_det(np.atleast_2d(w), n),
         )
 
+    def sample(self, count, rng, box=None):
+        # coverage, not uniformity, is the contract
+        return cayley(uniform_ball(self.n, count, rng))
+
+    def outward_normal(self, p, constraint_index=None):
+        nu = np.zeros(self.n, dtype=np.complex128)
+        nu[:-1] = p[:-1]
+        nu[-1] = -0.5j
+        return nu
+
 
 @dataclass
 class MembershipOracle(Domain):
@@ -400,8 +635,9 @@ class MembershipOracle(Domain):
         super().__post_init__()
         if self.declared_class not in (CONVEX, C_CONVEX):
             raise ConfigInvalid(f"unknown convexity class {self.declared_class!r}")
-        if not (self.search_radius > 0) or self.refine_iters < 1:
-            raise ConfigInvalid("oracle needs search_radius > 0 and refine_iters >= 1")
+        if not (0 < self.search_radius < math.inf) or self.refine_iters < 1:
+            raise ConfigInvalid(
+                "oracle needs a finite search_radius > 0 and refine_iters >= 1")
         self.convexity_class = self.declared_class
         if self.enclosing_polydisc is not None:
             c, r = self.enclosing_polydisc
@@ -421,9 +657,52 @@ class MembershipOracle(Domain):
     def bounded(self) -> bool:
         return self.enclosing_polydisc is not None
 
+    def diameter(self) -> float:
+        if self.enclosing_polydisc is None:
+            return math.inf
+        return 2.0 * float(np.linalg.norm(self.enclosing_polydisc[1]))
+
+    def circumscribed_radius(self, z):
+        if self.enclosing_polydisc is None:
+            return math.inf
+        c, r = self.enclosing_polydisc
+        return float(np.linalg.norm(np.abs(z - c) + r))
+
+    def sample(self, count, rng, box=None):
+        if box is None and self.enclosing_polydisc is not None:
+            box = polydisc_box(*self.enclosing_polydisc)
+        return super().sample(count, rng, box)
+
+    def to_json(self) -> dict:
+        if self.predicate_name is None:
+            raise ConfigInvalid("only named oracle predicates are serializable")
+        return {**super().to_json(), "predicate": self.predicate_name,
+                "search_radius": self.search_radius, "refine_iters": self.refine_iters}
+
+    @classmethod
+    def from_json(cls, n, data):
+        name = data["predicate"]
+        meta = ORACLE_PREDICATES.get(name)
+        if meta is None:
+            raise ConfigInvalid(f"unknown oracle predicate {name!r}")
+        if meta["n"] != n:
+            raise ConfigInvalid(f"predicate {name!r} is defined for n={meta['n']}")
+        return cls(n, predicate=meta["predicate"],
+                   declared_class=data.get("class", meta["class"]),
+                   search_radius=float(data.get("search_radius", 1e6)),
+                   refine_iters=int(data.get("refine_iters", 3)),
+                   predicate_name=name,
+                   enclosing_polydisc=meta.get("enclosing_polydisc"))
+
+
+#: JSON ``variant`` tag -> backend class
+VARIANTS: dict[str, type[Domain]] = {
+    cls.variant: cls for cls in (HalfspaceConvex, AffineBallImage, Polydisc,
+                                 L1Ball, SiegelHalfSpace, MembershipOracle)}
+
 
 # ---------------------------------------------------------------------------
-# operations
+# operations: thin public entry points over the backend protocol
 # ---------------------------------------------------------------------------
 
 
@@ -434,77 +713,17 @@ def contains(domain: Domain, z) -> bool | np.ndarray:
     return bool(out[0]) if single else out
 
 
-def boundary_margin(domain: Domain, z):
-    """Signed inside-margin, positive inside.
-
-    Units vary by backend (exact or lower-bound distance for the geometric
-    variants, the defining-function defect for Siegel, +/-1 for oracles); only
-    the sign and monotonicity near the boundary are contractual.  Used by the
-    sampled inclusion checks to report how close a witness came.
-    """
-    pts, single = _batch(z, domain.n)
-    if isinstance(domain, HalfspaceConvex):
-        lhs = (pts @ domain.normals.conj().T).real
-        scale = np.linalg.norm(domain.normals, axis=1)
-        out = np.min((domain.offsets[None, :] - lhs) / scale[None, :], axis=1)
-    elif isinstance(domain, AffineBallImage):
-        out = (1.0 - np.linalg.norm(domain.to_ball(pts), axis=1)) * domain._sv[-1]
-    elif isinstance(domain, Polydisc):
-        out = np.min(domain.radii[None, :] - np.abs(pts - domain.center), axis=1)
-    elif isinstance(domain, L1Ball):
-        out = (domain.scale - np.sum(np.abs(pts), axis=1)) / math.sqrt(domain.n)
-    elif isinstance(domain, SiegelHalfSpace):
-        out = domain.defect(pts)
-    else:
-        out = np.where(domain.contains_many(pts), 1.0, -1.0)
-    return float(out[0]) if single else out
-
-
 def diameter(domain: Domain) -> float:
     """Diameter: exact for polydisc/ball-image/l1; certified upper bound for
-    bounded halfspace intersections (bounding-box diagonal); +inf otherwise."""
-    if isinstance(domain, Polydisc):
-        return 2.0 * float(np.linalg.norm(domain.radii))
-    if isinstance(domain, AffineBallImage):
-        return 2.0 * float(domain._sv[0])
-    if isinstance(domain, L1Ball):
-        return 2.0 * domain.scale
-    if isinstance(domain, HalfspaceConvex):
-        box = domain.bounding_box()
-        if box is None:
-            return math.inf
-        return float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    if isinstance(domain, MembershipOracle) and domain.enclosing_polydisc is not None:
-        _, radii = domain.enclosing_polydisc
-        return 2.0 * float(np.linalg.norm(radii))
-    return math.inf
+    bounded halfspace intersections (bounding-box diagonal) and oracles with an
+    enclosing polydisc; +inf otherwise."""
+    return domain.diameter()
 
 
 def circumscribed_radius(domain: Domain, z) -> float:
     """Radius R with D contained in the ball B(z, R); certified upper bound, +inf
     for unbounded domains."""
-    zz = as_cvector(z, domain.n)
-    if isinstance(domain, Polydisc):
-        return float(np.linalg.norm(np.abs(zz - domain.center) + domain.radii))
-    if isinstance(domain, AffineBallImage):
-        return float(np.linalg.norm(zz - domain.center)) + float(domain._sv[0])
-    if isinstance(domain, L1Ball):
-        s = domain.scale
-        nz = float(np.linalg.norm(zz))
-        return math.sqrt(nz * nz + s * s + 2.0 * s * float(np.max(np.abs(zz))))
-    if isinstance(domain, HalfspaceConvex):
-        box = domain.bounding_box()
-        if box is None:
-            return math.inf
-        # farthest corner of the real bounding box
-        zr = np.empty(2 * domain.n)
-        zr[0::2], zr[1::2] = zz.real, zz.imag
-        far = np.maximum(np.abs(box[:, 0] - zr), np.abs(box[:, 1] - zr))
-        return float(np.linalg.norm(far))
-    if isinstance(domain, MembershipOracle) and domain.enclosing_polydisc is not None:
-        c, r = domain.enclosing_polydisc
-        return float(np.linalg.norm(np.abs(zz - c) + r))
-    return math.inf
+    return domain.circumscribed_radius(as_cvector(z, domain.n))
 
 
 def exact_volume_element(domain: Domain, z) -> float:
@@ -533,11 +752,6 @@ def unit_ball(n: int) -> AffineBallImage:
                            center=np.zeros(n, dtype=np.complex128))
 
 
-# ---------------------------------------------------------------------------
-# interior sampling (used by inclusion checks and the harness)
-# ---------------------------------------------------------------------------
-
-
 def sample_interior(domain: Domain, count: int, rng: np.random.Generator,
                     box: np.ndarray | None = None) -> np.ndarray:
     """Draw `count` interior points.
@@ -548,83 +762,7 @@ def sample_interior(domain: Domain, count: int, rng: np.random.Generator,
     rejection sampling inside `box` (real (2n, 2) bounds), defaulting to the
     bounding box / enclosing polydisc when available.
     """
-    n = domain.n
-    if isinstance(domain, AffineBallImage):
-        return domain.exact_oracle.forward(uniform_ball(n, count, rng))
-    if isinstance(domain, SiegelHalfSpace):
-        return cayley(uniform_ball(n, count, rng))
-    if isinstance(domain, Polydisc):
-        u = rng.random((count, n))
-        theta = rng.random((count, n)) * 2 * np.pi
-        return domain.center + domain.radii * np.sqrt(u) * np.exp(1j * theta)
-    if isinstance(domain, L1Ball):
-        # rejection from the circumscribing polydisc; acceptance (2n)!/ (n! ... ) ~ ok n<=4
-        box_dom = Polydisc(n, center=np.zeros(n), radii=np.full(n, domain.scale))
-        out = np.empty((0, n), dtype=np.complex128)
-        while out.shape[0] < count:
-            cand = sample_interior(box_dom, max(count, 256), rng)
-            out = np.vstack([out, cand[domain.contains_many(cand)]])
-        return out[:count]
-    ray_fallback = False
-    if box is None:
-        if isinstance(domain, HalfspaceConvex):
-            box = domain.bounding_box()
-            if box is None:
-                raise UnboundedDomain("cannot rejection-sample an unbounded domain without a box")
-            ray_fallback = True  # thin polytopes defeat box rejection
-        elif isinstance(domain, MembershipOracle) and domain.enclosing_polydisc is not None:
-            c, r = domain.enclosing_polydisc
-            box = np.empty((2 * n, 2))
-            box[0::2, 0], box[0::2, 1] = c.real - r, c.real + r
-            box[1::2, 0], box[1::2, 1] = c.imag - r, c.imag + r
-        else:
-            raise UnboundedDomain("rejection sampling needs a bounding box")
-    box = np.asarray(box, dtype=np.float64)
-    out = np.empty((0, n), dtype=np.complex128)
-    attempts = 0
-    limit = 25 if ray_fallback else 2000
-    while out.shape[0] < count:
-        m = max(4 * count, 512)
-        u = rng.random((m, 2 * n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
-        cand = u[:, 0::2] + 1j * u[:, 1::2]
-        out = np.vstack([out, cand[domain.contains_many(cand)]])
-        attempts += 1
-        if attempts > limit and out.shape[0] < count:
-            if ray_fallback:
-                rays = _halfspace_ray_samples(domain, count - out.shape[0], rng)
-                return np.vstack([out, rays])[:count]
-            raise HolovolError("rejection sampling acceptance rate too low")
-    return out[:count]
-
-
-def _halfspace_ray_samples(domain: HalfspaceConvex, count: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Star-shaped sampling of a bounded polytope from its Chebyshev center.
-
-    Casts uniform sphere directions from the center of the largest inscribed
-    ball and places a point at a random fraction of the exit distance.  Not
-    volume-uniform, but covers the whole body with a guaranteed acceptance
-    rate of one, which is what the inclusion checks need on thin polytopes.
-    """
-    n = domain.n
-    x0 = domain.chebyshev_center()
-    slack = domain.offsets - (domain.normals.conj() @ x0).real
-    out = np.empty((count, n), dtype=np.complex128)
-    filled = 0
-    while filled < count:
-        m = count - filled
-        u = rng.normal(size=(m, 2 * n))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        d = u[:, 0::2] + 1j * u[:, 1::2]
-        proj = (d @ domain.normals.conj().T).real
-        with np.errstate(divide="ignore"):
-            t = np.where(proj > 1e-14, slack[None, :] / proj, np.inf).min(axis=1)
-        s = rng.random(m) ** (1.0 / (2 * n))
-        pts = x0[None, :] + (s * t * (1.0 - 1e-9))[:, None] * d
-        good = domain.contains_many(pts)
-        out[filled:filled + int(good.sum())] = pts[good]
-        filled += int(good.sum())
-    return out
+    return domain.sample(count, rng, box)
 
 
 # ---------------------------------------------------------------------------
@@ -650,95 +788,33 @@ ORACLE_PREDICATES: dict[str, dict] = {
 
 def symmetrized_bidisc(search_radius: float = 8.0, refine_iters: int = 3) -> MembershipOracle:
     """The symmetrized bidisc as a named membership oracle (C-convex, not convex)."""
-    meta = ORACLE_PREDICATES["symmetrized_bidisc"]
-    return MembershipOracle(2, predicate=meta["predicate"], declared_class=C_CONVEX,
-                            search_radius=search_radius, refine_iters=refine_iters,
-                            predicate_name="symmetrized_bidisc",
-                            enclosing_polydisc=meta["enclosing_polydisc"])
-
-
-def _c2j(x: complex) -> list:
-    return [float(np.real(x)), float(np.imag(x))]
-
-
-def _vec2j(v: np.ndarray) -> list:
-    return [_c2j(x) for x in v]
-
-
-def _j2vec(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    return MembershipOracle.from_json(2, {"predicate": "symmetrized_bidisc",
+                                          "search_radius": search_radius,
+                                          "refine_iters": refine_iters})
 
 
 def domain_to_json(domain: Domain) -> dict:
     """Serialize to the documented schema (complex as [re, im], matrices row-major)."""
-    out: dict = {"variant": domain.variant, "n": domain.n,
-                 "class": domain.convexity_class}
-    if isinstance(domain, HalfspaceConvex):
-        out["constraints"] = [{"a": _vec2j(a), "b": float(b)}
-                              for a, b in zip(domain.normals, domain.offsets)]
-    elif isinstance(domain, AffineBallImage):
-        out["matrix"] = [_vec2j(row) for row in domain.matrix]
-        out["center"] = _vec2j(domain.center)
-    elif isinstance(domain, Polydisc):
-        out["center"] = _vec2j(domain.center)
-        out["radii"] = [float(r) for r in domain.radii]
-    elif isinstance(domain, L1Ball):
-        out["scale"] = domain.scale
-    elif isinstance(domain, SiegelHalfSpace):
-        pass
-    elif isinstance(domain, MembershipOracle):
-        if domain.predicate_name is None:
-            raise ConfigInvalid("only named oracle predicates are serializable")
-        out["predicate"] = domain.predicate_name
-        out["search_radius"] = domain.search_radius
-        out["refine_iters"] = domain.refine_iters
-    else:
-        raise UnsupportedDomain(f"cannot serialize {type(domain).__name__}")
-    return out
+    return domain.to_json()
 
 
 def domain_from_json(data: dict) -> Domain:
     """Parse the documented schema; raises ConfigInvalid on malformed input."""
     try:
-        variant = data["variant"]
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        variant, n = data["variant"], data["n"]
+    except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"domain config missing variant/n: {exc}") from exc
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ConfigInvalid(f"domain n must be an integer >= 2, got {n!r}")
     cls_tag = data.get("class", CONVEX)
     if cls_tag not in (CONVEX, C_CONVEX):
         raise ConfigInvalid(f"unknown convexity class {cls_tag!r}")
+    cls = VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
+        raise ConfigInvalid(f"unknown domain variant {variant!r}")
     try:
-        if variant == "halfspace":
-            cons = data["constraints"]
-            normals = np.array([_j2vec(c["a"]) for c in cons])
-            offsets = np.array([float(c["b"]) for c in cons])
-            return HalfspaceConvex(n, normals=normals, offsets=offsets)
-        if variant == "ball_image":
-            M = np.array([_j2vec(row) for row in data["matrix"]])
-            return AffineBallImage(n, matrix=M, center=_j2vec(data["center"]))
-        if variant == "polydisc":
-            return Polydisc(n, center=_j2vec(data["center"]),
-                            radii=np.asarray(data["radii"], dtype=float))
-        if variant == "l1ball":
-            return L1Ball(n, scale=float(data["scale"]))
-        if variant == "siegel":
-            return SiegelHalfSpace(n)
-        if variant == "oracle":
-            name = data["predicate"]
-            meta = ORACLE_PREDICATES.get(name)
-            if meta is None:
-                raise ConfigInvalid(f"unknown oracle predicate {name!r}")
-            if meta["n"] != n:
-                raise ConfigInvalid(f"predicate {name!r} is defined for n={meta['n']}")
-            return MembershipOracle(
-                n, predicate=meta["predicate"],
-                declared_class=data.get("class", meta["class"]),
-                search_radius=float(data.get("search_radius", 1e6)),
-                refine_iters=int(data.get("refine_iters", 3)),
-                predicate_name=name,
-                enclosing_polydisc=meta.get("enclosing_polydisc"))
+        return cls.from_json(n, data)
     except HolovolError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed {variant!r} domain config: {exc}") from exc
-    raise ConfigInvalid(f"unknown domain variant {variant!r}")

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 
 class HolovolError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``witness`` and ``margin`` default to None."""
+
+    def __init__(self, message: str = "", *, witness=None, margin=None):
+        super().__init__(message)
+        self.witness = witness
+        self.margin = margin
 
 
 class DimensionMismatch(HolovolError):
@@ -39,17 +44,9 @@ class Unbounded(HolovolError):
     Carries the witness slice so degenerate domains can be reported.
     """
 
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class DegenerateDomain(HolovolError):
     """Domain contains a complex line (detected via an unbounded slice)."""
-
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UnboundedDomain(HolovolError):
@@ -71,11 +68,6 @@ class SingularBasis(HolovolError):
 class NotSupporting(HolovolError):
     """Candidate hyperplane fails the sampled support test."""
 
-    def __init__(self, message: str, *, witness=None, margin=None):
-        super().__init__(message)
-        self.witness = witness
-        self.margin = margin
-
 
 class TriangularityViolated(HolovolError):
     """Normalization rows have non-negligible mass above the diagonal."""
@@ -83,11 +75,6 @@ class TriangularityViolated(HolovolError):
 
 class InclusionViolated(HolovolError):
     """A sampled inclusion check found a point on the wrong side."""
-
-    def __init__(self, message: str, *, witness=None, margin=None):
-        super().__init__(message)
-        self.witness = witness
-        self.margin = margin
 
 
 class TailDiverges(HolovolError):
@@ -104,10 +91,6 @@ class ConfigInvalid(HolovolError):
 
 class DomainRejected(HolovolError):
     """Scenario domain rejected (degenerate or otherwise unusable)."""
-
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class IoFailure(HolovolError):

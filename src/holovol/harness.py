@@ -27,29 +27,28 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import bergman as bg
 from .domains import (
-    CONVEX,
     Domain,
-    HalfspaceConvex,
-    MembershipOracle,
     circumscribed_radius,
     contains,
     diameter,
     domain_from_json,
     domain_to_json,
     exact_volume_element,
+    polydisc_box,
     sample_interior,
 )
 from .errors import (
     ConfigInvalid,
-    DegenerateDomain,
     DomainRejected,
     HolovolError,
     IoFailure,
@@ -66,8 +65,6 @@ from .volume_elements import (
     monotonicity_bounds,
     quotient_lower_bound,
 )
-
-__version__ = "0.1.0"
 
 log = logging.getLogger("holovol")
 
@@ -111,7 +108,28 @@ def _parse_point(data, n: int) -> np.ndarray:
         raise ConfigInvalid(f"bad point {data!r}: {exc}") from exc
     if z.shape != (n,):
         raise ConfigInvalid(f"point has {z.shape[0]} coordinates, domain has {n}")
+    if not np.all(np.isfinite(z)):
+        raise ConfigInvalid(f"point {data!r} has non-finite coordinates")
     return z
+
+
+def _number(value, what: str, kind=numbers.Real, minimum=-math.inf):
+    """`value` if it is a finite `kind` (bool excluded) >= minimum, else ConfigInvalid."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not minimum <= value < math.inf:
+        at_least = f" >= {minimum}" if minimum > -math.inf else ""
+        raise ConfigInvalid(f"{what} must be a finite {kind.__name__.lower()} number"
+                            f"{at_least}, got {value!r}")
+    return value
+
+
+def _tolerances(data) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigInvalid("tolerances must be an object")
+    unknown = sorted(set(data) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ConfigInvalid(f"unknown tolerances: {unknown}")
+    return {**DEFAULT_TOLERANCES,
+            **{key: _number(value, f"tolerance {key!r}") for key, value in data.items()}}
 
 
 def parse_scenario(config: dict) -> Scenario:
@@ -122,10 +140,14 @@ def parse_scenario(config: dict) -> Scenario:
     domain = domain_from_json(config["domain"])
     n = domain.n
     pts_cfg = config.get("points", {})
-    explicit = [_parse_point(p, n) for p in pts_cfg.get("explicit", [])]
-    sampler = pts_cfg.get("sampler", {}) or {}
-    count = int(sampler.get("count", 0))
-    seed = int(sampler.get("seed", 0))
+    if not isinstance(pts_cfg, dict):
+        raise ConfigInvalid("points must be an object")
+    explicit_cfg, sampler = pts_cfg.get("explicit", []), pts_cfg.get("sampler") or {}
+    if not isinstance(explicit_cfg, list) or not isinstance(sampler, dict):
+        raise ConfigInvalid("points.explicit must be a list and points.sampler an object")
+    explicit = [_parse_point(p, n) for p in explicit_cfg]
+    count = int(_number(sampler.get("count", 0), "sampler count", numbers.Integral, 0))
+    seed = int(_number(sampler.get("seed", 0), "sampler seed", numbers.Integral, 0))
     box = None
     if "box" in sampler:
         b = sampler["box"]
@@ -134,18 +156,18 @@ def parse_scenario(config: dict) -> Scenario:
             radii = np.asarray(b["radii"], dtype=float)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise ConfigInvalid(f"bad sampler box: {exc}") from exc
-        if center.shape != (n,) or radii.shape != (n,) or np.any(radii <= 0):
-            raise ConfigInvalid("sampler box center/radii must match the dimension")
-        box = np.empty((2 * n, 2))
-        box[0::2, 0], box[0::2, 1] = center.real - radii, center.real + radii
-        box[1::2, 0], box[1::2, 1] = center.imag - radii, center.imag + radii
+        if (center.shape != (n,) or radii.shape != (n,) or not np.all(np.isfinite(center))
+                or not np.all((radii > 0) & (radii < math.inf))):
+            raise ConfigInvalid("sampler box needs n finite centers and n positive finite radii")
+        box = polydisc_box(center, radii)
     checks = config.get("checks")
     if checks is not None:
-        bad = set(checks) - set(ALL_CHECKS)
+        if not isinstance(checks, list):
+            raise ConfigInvalid(f"checks must be a list of names, got {checks!r}")
+        bad = sorted({str(c) for c in checks} - set(ALL_CHECKS))
         if bad:
-            raise ConfigInvalid(f"unknown checks: {sorted(bad)}")
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(config.get("tolerances", {}))
+            raise ConfigInvalid(f"unknown checks: {bad}")
+    tol = _tolerances(config.get("tolerances", {}))
     return Scenario(
         domain=domain,
         domain_json=config["domain"],
@@ -163,19 +185,9 @@ def applicable_checks(domain: Domain) -> list:
     checks = ["theorem_ge", "monotonicity", "corollary_q"]
     if math.isfinite(diameter(domain)):
         checks.append("corollary_v")
-    supports_normals = domain.convexity_class == CONVEX
-    if isinstance(domain, HalfspaceConvex) and not domain.bounded:
-        supports_normals = False
-    if isinstance(domain, MembershipOracle) and domain.enclosing_polydisc is None:
-        supports_normals = False
-    if supports_normals:
+    if domain.supports_normals:
         checks += ["normalization", "lemma_inclusion"]
-    try:
-        bg.reinhardt_moments_for(domain)
-        has_kernel = True
-    except UnsupportedDomain:
-        has_kernel = domain.exact_oracle is not None
-    if has_kernel:
+    if domain.variant in bg.REINHARDT_MOMENTS or domain.exact_oracle is not None:
         checks += ["bergman_sandwich", "ratio"]
     return checks
 
@@ -196,8 +208,32 @@ def _jsonable(obj):
     return obj
 
 
+def _error(exc: HolovolError) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc),
+            "witness": _jsonable(exc.witness)}
+
+
 def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+
+
+def _once(compute):
+    """Memoize a zero-argument computation, including a HolovolError it raises,
+    so that checks sharing an artifact compute it once per point."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((compute(), None))
+            except HolovolError as exc:
+                memo.append((None, exc))
+        value, exc = memo[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return get
 
 
 def _kernel_value(domain: Domain, z, max_degree: int) -> bg.BergmanValue:
@@ -215,8 +251,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
     try:
         basis = minimal_basis(domain, z)
     except HolovolError as exc:
-        rec["error"] = {"type": type(exc).__name__, "message": str(exc),
-                        "witness": _jsonable(getattr(exc, "witness", None))}
+        rec["error"] = _error(exc)
         return rec
     n = basis.n
     pD = distance_product(basis)
@@ -235,7 +270,16 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
         v = None
     rec["oracle_v"] = v
     rec["v_pd_sq"] = (v * pD * pD) if v is not None else None
+    exact = v is not None and math.isfinite(v)
 
+    @_once
+    def normalized():
+        norm = build_A(domain, basis, samples=int(tol["support_samples"]), seed=seed)
+        margins = verify_normalization(domain, basis, norm,
+                                       samples=int(tol["verify_samples"]), seed=seed + 1)
+        return norm, margins
+
+    kernel = _once(lambda: _kernel_value(domain, z, int(tol["max_degree"])))
     results = {}
 
     def record(name, margin, *, mode=None, **extra):
@@ -247,53 +291,38 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
 
     for name in checks:
         try:
-            if name == "theorem_ge":
-                if v is not None and math.isfinite(v):
-                    record(name, cert.containment_margin(v), mode="containment",
-                           interval=list(cert.as_pair()))
+            if name in ("theorem_ge", "monotonicity"):
+                own, other = (cert, mono) if name == "theorem_ge" else (mono, cert)
+                if exact:
+                    record(name, own.containment_margin(v), mode="containment",
+                           interval=list(own.as_pair()))
                 else:
-                    record(name, cert.intersection_margin(mono), mode="intersection",
-                           interval=list(cert.as_pair()))
-            elif name == "monotonicity":
-                if v is not None and math.isfinite(v):
-                    record(name, mono.containment_margin(v), mode="containment",
-                           interval=list(mono.as_pair()))
-                else:
-                    record(name, mono.intersection_margin(cert), mode="intersection",
-                           interval=list(mono.as_pair()))
+                    record(name, own.intersection_margin(other), mode="intersection",
+                           interval=list(own.as_pair()))
             elif name == "corollary_q":
                 qb = quotient_lower_bound(cls, n)
-                # on exact-oracle domains both volume elements coincide: q = 1
-                q = 1.0 if v is not None else None
-                margin = (q - qb.value) if q is not None else (1.0 - qb.value)
-                record(name, margin, bound=qb.value, quotient=q)
+                # q <= 1 always; on exact-oracle domains both volume elements
+                # coincide, so q = 1 is known there
+                record(name, 1.0 - qb.value, bound=qb.value,
+                       quotient=1.0 if v is not None else None)
             elif name == "corollary_v":
                 bound = bounded_domain_lower_bound(cls, n, diameter(domain))
-                if v is not None and math.isfinite(v):
+                if exact:
                     record(name, v - bound, mode="containment", bound=bound)
                 else:
-                    upper = min(cert.hi, mono.hi)
-                    record(name, upper - bound, mode="consistency", bound=bound)
+                    record(name, min(cert.hi, mono.hi) - bound, mode="consistency",
+                           bound=bound)
             elif name == "normalization":
-                norm = build_A(domain, basis,
-                               samples=int(tol["support_samples"]), seed=seed)
-                margins = verify_normalization(
-                    domain, basis, norm, samples=int(tol["verify_samples"]),
-                    seed=seed + 1)
+                norm, margins = normalized()
                 alpha_margin = 1.0 + 1e-4 - norm.alpha_max
                 margin = min(margins["halfspace_margin"], alpha_margin)
                 record(name, margin, alpha_max=norm.alpha_max,
                        triangularity_residual=norm.triangularity_residual,
                        **margins)
             elif name == "lemma_inclusion":
-                norm = build_A(domain, basis,
-                               samples=int(tol["support_samples"]), seed=seed)
-                margins = verify_normalization(
-                    domain, basis, norm, samples=int(tol["verify_samples"]),
-                    seed=seed + 1)
-                record(name, margins["lemma_margin"])
+                record(name, normalized()[1]["lemma_margin"])
             elif name == "bergman_sandwich":
-                K = _kernel_value(domain, z, int(tol["max_degree"]))
+                K = kernel()
                 slack = compound_slack(basis.tau_rel_err, n, base_slack)
                 res = bg.kernel_sandwich_check(cls, n, K, pD, slack=slack)
                 record(name, min(res["lower_margin"], res["upper_margin"]),
@@ -301,7 +330,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
                        product=[res["product_lo"], res["product_hi"]],
                        band=list(res["band"]))
             elif name == "ratio":
-                K = _kernel_value(domain, z, int(tol["max_degree"]))
+                K = kernel()
                 res = bg.ratio_check(cls, n, cert, K, v_exact=v)
                 record(name, min(res["lower_margin"], res["upper_margin"]),
                        mode=res["mode"], band=list(res["band"]),
@@ -309,10 +338,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
         except TailDiverges as exc:
             results[name] = {"margin": None, "pass": None, "skipped": str(exc)}
         except HolovolError as exc:
-            results[name] = {"margin": None, "pass": False,
-                             "error": {"type": type(exc).__name__,
-                                       "message": str(exc),
-                                       "witness": _jsonable(getattr(exc, "witness", None))}}
+            results[name] = {"margin": None, "pass": False, "error": _error(exc)}
     rec["checks"] = results
     return rec
 
@@ -346,6 +372,7 @@ def _sample_points(scenario: Scenario) -> list:
 def run_scenario(config, *, workers: int = 1, seed: int | None = None) -> dict:
     """Execute a scenario (JSON dict or parsed Scenario) and build the report."""
     t0 = time.perf_counter()
+    workers = int(_number(workers, "workers", numbers.Integral, 1))
     scenario = parse_scenario(config) if isinstance(config, dict) else config
     domain = scenario.domain
     eff_seed = int(seed) if seed is not None else scenario.sampler_seed
@@ -359,13 +386,9 @@ def run_scenario(config, *, workers: int = 1, seed: int | None = None) -> dict:
     records = []
     if points:
         # degeneracy gate: the first point runs synchronously
-        try:
-            first = evaluate_point(domain, points[0], checks, tol,
-                                   _point_seed(eff_seed, 0))
-        except DegenerateDomain as exc:
-            raise DomainRejected(str(exc), witness=getattr(exc, "witness", None))
+        first = evaluate_point(domain, points[0], checks, tol, _point_seed(eff_seed, 0))
         err = first.get("error", {})
-        if err.get("type") in ("DegenerateDomain", "Unbounded"):
+        if err.get("type") == "DegenerateDomain":
             raise DomainRejected(
                 f"domain rejected at the first point: {err.get('message')}",
                 witness=err.get("witness"))

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * vectors live in C^n as 1-d complex128 arrays;
 * the Hermitian inner product is ``<u, v> = sum_k u_k * conj(v_k)`` (antilinear
-  in the second slot), implemented by :func:`herm`;
+  in the second slot);
 * a complex quadratic constraint is lowered to a real one on (Re c, Im c)
   stacked as a 2k-vector, see :func:`real_form`.
 """
@@ -28,18 +28,13 @@ def as_cvector(z, n: int | None = None) -> np.ndarray:
     return v
 
 
-def herm(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian inner product <u, v> = sum u_k conj(v_k)."""
-    return complex(np.vdot(v, u))  # vdot conjugates its first argument
-
-
-def split_real(c: np.ndarray) -> np.ndarray:
-    """C^k -> R^{2k}: stack (Re c, Im c)."""
-    return np.concatenate([c.real, c.imag])
+def phase(x: complex) -> complex:
+    """x / |x|, and 1 at the origin."""
+    return x / abs(x) if abs(x) > 0 else 1.0 + 0j
 
 
 def join_complex(x: np.ndarray) -> np.ndarray:
-    """R^{2k} -> C^k, inverse of :func:`split_real`."""
+    """R^{2k} -> C^k: (Re c, Im c) stacked -> c."""
     k = x.shape[0] // 2
     return x[:k] + 1j * x[k:]
 
@@ -93,11 +88,6 @@ def complement_within(V: np.ndarray, d: np.ndarray) -> np.ndarray:
     return V @ H.conj().T[:, 1:]
 
 
-def projector(D: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the column span of D (n x m, orthonormal)."""
-    return D @ D.conj().T
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -114,10 +104,3 @@ def uniform_ball(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     radii = rng.random((count, 1)) ** (1.0 / (2 * n))
     return g / norms * radii
 
-
-def uniform_sphere_directions(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministically seeded unit directions in C^k, shape (count, k)."""
-    g = rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return g / norms

@@ -7,15 +7,16 @@ complement of d^j.  The distances are nondecreasing (each step minimizes over a
 smaller set) and their product is the basic length-scale invariant consumed by
 every certified bound downstream.
 
-Backend dispatch for a single slice distance:
+Slice-distance kernels, keyed by ``Domain.variant`` in :data:`SLICE_KERNELS`
+(everything else a backend knows lives on its class in ``domains``):
 
-==================  ==========================================================
-HalfspaceConvex     closed form min_i (b_i - Re<z,a_i>) / |P a_i|
-AffineBallImage     quadric projection (see geometry.nearest_on_quadric)
-SiegelHalfSpace     quadric projection (PSD Hessian + linear term)
-Polydisc / L1Ball   closed form on coordinate-aligned slices, polar otherwise
-MembershipOracle    polar first-exit search (approximate, flagged)
-==================  ==========================================================
+==============  ==============================================================
+halfspace       closed form min_i (b_i - Re<z,a_i>) / |P a_i|
+ball_image      quadric projection (see geometry.nearest_on_quadric)
+siegel          quadric projection (PSD Hessian + linear term)
+polydisc, l1    closed form on coordinate-aligned slices, polar otherwise
+oracle          polar first-exit search (approximate, flagged)
+==============  ==============================================================
 """
 
 from __future__ import annotations
@@ -30,22 +31,27 @@ from .domains import (
     Domain,
     HalfspaceConvex,
     L1Ball,
-    MembershipOracle,
     Polydisc,
     SiegelHalfSpace,
-    circumscribed_radius,
     contains,
 )
 from .errors import (
     DegenerateDomain,
+    HolovolError,
     PointOutsideDomain,
     PointTooCloseToBoundary,
     SingularBasis,
     Unbounded,
-    HolovolError,
 )
 from .geometry import PolarConfig, nearest_on_quadric, polar_first_exit
-from .linalg import as_cvector, complement_within, join_complex, orthonormal_columns, real_form
+from .linalg import (
+    as_cvector,
+    complement_within,
+    join_complex,
+    orthonormal_columns,
+    phase,
+    real_form,
+)
 
 #: relative accuracy of the closed-form / projection backends
 EPS_CLOSED = 1e-9
@@ -82,10 +88,8 @@ def _aligned_coordinates(V: np.ndarray) -> list[int] | None:
     return idx if len(set(idx)) == k else None
 
 
-def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
-    beta = domain.offsets - (z @ domain.normals.conj().T).real  # (m,)
-    if np.any(beta <= 0):
-        raise PointOutsideDomain("point violates a halfspace constraint")
+def _halfspace_slice(domain: HalfspaceConvex, z, V, polar) -> SliceDistance:
+    beta = domain.offsets - (z @ domain.normals.conj().T).real  # (m,), positive inside
     proj = domain.normals @ np.conj(V)  # rows: (V* a_i)* ... gives |P a_i| via norms
     pn = np.linalg.norm(proj, axis=1)
     scale = np.linalg.norm(domain.normals, axis=1)
@@ -102,7 +106,7 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     return SliceDistance(tau, p, "halfspace", EPS_CLOSED, constraint_index=i)
 
 
-def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
+def _ball_image_slice(domain: AffineBallImage, z, V, polar) -> SliceDistance:
     B = domain._inv @ V
     w0 = domain.to_ball(z[None, :])[0]
     g = float(np.sum(np.abs(w0) ** 2)) - 1.0
@@ -116,10 +120,8 @@ def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
     return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
 
 
-def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
-    g = -float(domain.defect(z[None, :])[0])
-    if g >= 0:
-        raise PointOutsideDomain("point outside the Siegel half-space")
+def _siegel_slice(domain: SiegelHalfSpace, z, V, polar) -> SliceDistance:
+    g = -float(domain.defect(z[None, :])[0])  # negative inside
     B = V[:-1, :]
     vrow = V[-1, :]
     H = B.conj().T @ B
@@ -130,40 +132,50 @@ def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
     return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
 
 
-def _phase(x: complex) -> complex:
-    return x / abs(x) if abs(x) > 0 else 1.0 + 0j
-
-
-def _polydisc_aligned(domain: Polydisc, z, coords) -> SliceDistance:
+def _polydisc_slice(domain: Polydisc, z, V, polar) -> SliceDistance:
+    coords = _aligned_coordinates(V)
+    if coords is None:
+        return _polar_slice(domain, z, V, polar)
     rel = z - domain.center
     slack = domain.radii[coords] - np.abs(rel[coords])
-    if np.any(np.abs(rel) >= domain.radii):
-        raise PointOutsideDomain("point outside the polydisc")
     i = int(np.argmin(slack))
     j = coords[i]
     p = z.copy()
-    p[j] = domain.center[j] + domain.radii[j] * _phase(rel[j])
+    p[j] = domain.center[j] + domain.radii[j] * phase(rel[j])
     return SliceDistance(float(slack[i]), p, "aligned", EPS_CLOSED)
 
 
-def _l1_aligned(domain: L1Ball, z, coords) -> SliceDistance:
-    slack = domain.scale - float(np.sum(np.abs(z)))
-    if slack <= 0:
-        raise PointOutsideDomain("point outside the l1 ball")
+def _l1_slice(domain: L1Ball, z, V, polar) -> SliceDistance:
+    coords = _aligned_coordinates(V)
+    if coords is None:
+        return _polar_slice(domain, z, V, polar)
+    slack = domain.scale - float(np.sum(np.abs(z)))  # positive inside
     k = len(coords)
     step = slack / k
     p = z.copy()
     for j in coords:
-        p[j] = z[j] + step * _phase(z[j])
+        p[j] = z[j] + step * phase(z[j])
     return SliceDistance(slack / math.sqrt(k), p, "aligned", EPS_CLOSED)
 
 
 def _polar_slice(domain: Domain, z, V, polar: PolarConfig) -> SliceDistance:
-    cap = circumscribed_radius(domain, z)
+    cap = domain.circumscribed_radius(z)
     if not math.isfinite(cap):
         cap = getattr(domain, "search_radius", 1e6)
     tau, p = polar_first_exit(domain.contains_many, z, V, cap, polar)
     return SliceDistance(tau, p, "polar", EPS_POLAR)
+
+
+#: Domain.variant -> kernel(domain, z, V, polar); slice_distance has already
+#: checked that z lies inside the domain
+SLICE_KERNELS = {
+    "halfspace": _halfspace_slice,
+    "ball_image": _ball_image_slice,
+    "siegel": _siegel_slice,
+    "polydisc": _polydisc_slice,
+    "l1ball": _l1_slice,
+    "oracle": _polar_slice,
+}
 
 
 def slice_distance(domain: Domain, z, V, polar: PolarConfig | None = None) -> SliceDistance:
@@ -176,30 +188,10 @@ def slice_distance(domain: Domain, z, V, polar: PolarConfig | None = None) -> Sl
         raise SingularBasis("slice basis columns are not orthonormal")
     if not contains(domain, z):
         raise PointOutsideDomain("slice distance requested outside the domain")
-    polar = polar or PolarConfig()
-    if isinstance(domain, HalfspaceConvex):
-        return _halfspace_slice(domain, z, V)
-    if isinstance(domain, AffineBallImage):
-        return _ball_image_slice(domain, z, V)
-    if isinstance(domain, SiegelHalfSpace):
-        return _siegel_slice(domain, z, V)
-    if isinstance(domain, (Polydisc, L1Ball)):
-        coords = _aligned_coordinates(V)
-        if coords is not None:
-            if isinstance(domain, Polydisc):
-                return _polydisc_aligned(domain, z, coords)
-            return _l1_aligned(domain, z, coords)
-        return _polar_slice(domain, z, V, polar)
-    if isinstance(domain, MembershipOracle):
-        return _polar_slice(domain, z, V, polar)
-    raise HolovolError(f"no slice-distance backend for {type(domain).__name__}")
-
-
-def boundary_distance_in_slice(domain: Domain, z, slice_basis,
-                               polar: PolarConfig | None = None):
-    """Public contract form: returns (tau, p)."""
-    r = slice_distance(domain, z, slice_basis, polar)
-    return r.tau, r.p
+    kernel = SLICE_KERNELS.get(domain.variant)
+    if kernel is None:
+        raise HolovolError(f"no slice-distance backend for {type(domain).__name__}")
+    return kernel(domain, z, V, polar or PolarConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +284,3 @@ def distance_product(basis: MinimalBasis) -> float:
     """Product of the slice distances (the invariant the bounds divide by)."""
     return float(np.prod(basis.taus))
 
-
-#: conventional name for the distance product
-p_D = distance_product

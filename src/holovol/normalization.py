@@ -22,17 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .domains import (
-    CONVEX,
-    AffineBallImage,
-    Domain,
-    HalfspaceConvex,
-    L1Ball,
-    MembershipOracle,
-    Polydisc,
-    SiegelHalfSpace,
-    sample_interior,
-)
+from .domains import CONVEX, Domain, MembershipOracle, polydisc_box, sample_interior
 from .errors import (
     InclusionViolated,
     NotSupporting,
@@ -59,59 +49,14 @@ def build_T(basis: MinimalBasis) -> np.ndarray:
     return T
 
 
-def _phase(x: complex) -> complex:
-    return x / abs(x) if abs(x) > 0 else 1.0 + 0j
-
-
 def _interior_samples(domain: Domain, basis: MinimalBasis, count: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Interior samples; unbounded halfspace bodies get a local window around
-    the base point (support inequalities are testable on any subset of D)."""
-    if isinstance(domain, HalfspaceConvex) and not domain.bounded:
-        z, n = basis.base_point, domain.n
-        span = 4.0 * float(basis.taus[-1])
-        box = np.empty((2 * n, 2))
-        box[0::2, 0], box[0::2, 1] = z.real - span, z.real + span
-        box[1::2, 0], box[1::2, 1] = z.imag - span, z.imag + span
-        return sample_interior(domain, count, rng, box=box)
-    return sample_interior(domain, count, rng)
-
-
-def _raw_normal(domain: Domain, basis: MinimalBasis, j: int,
-                samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Backend-specific outward normal at the j-th frame point (unnormalized)."""
-    p = basis.boundary_points[j]
-    z = basis.base_point
-    if isinstance(domain, HalfspaceConvex):
-        i = basis.constraint_indices[j]
-        if i is None:
-            raise NotSupporting("missing active constraint index")
-        return domain.normals[i].astype(np.complex128)
-    if isinstance(domain, AffineBallImage):
-        M = domain.matrix
-        Q = np.linalg.inv(M @ M.conj().T)
-        return Q @ (p - domain.center)
-    if isinstance(domain, SiegelHalfSpace):
-        nu = np.zeros(domain.n, dtype=np.complex128)
-        nu[:-1] = p[:-1]
-        nu[-1] = -0.5j
-        return nu
-    if isinstance(domain, Polydisc):
-        rel = p - domain.center
-        slack = domain.radii - np.abs(rel)
-        k = int(np.argmin(slack))
-        nu = np.zeros(domain.n, dtype=np.complex128)
-        nu[k] = _phase(rel[k])
-        return nu
-    if isinstance(domain, L1Ball):
-        return np.array([_phase(c) if abs(c) > 0 else 0.0 for c in p],
-                        dtype=np.complex128)
-    if isinstance(domain, MembershipOracle):
-        if domain.convexity_class != CONVEX:
-            raise UnsupportedBackend(
-                "supporting hyperplanes are only certified for convex oracles")
-        return _oracle_normal_lp(domain, basis, j, samples, rng)
-    raise UnsupportedBackend(f"no supporting-normal backend for {type(domain).__name__}")
+    """Interior samples; unbounded bodies get a local window around the base
+    point (support inequalities are testable on any subset of D)."""
+    if domain.bounded:
+        return sample_interior(domain, count, rng)
+    box = polydisc_box(basis.base_point, 4.0 * float(basis.taus[-1]))
+    return sample_interior(domain, count, rng, box=box)
 
 
 def _oracle_normal_lp(domain: MembershipOracle, basis: MinimalBasis, j: int,
@@ -124,6 +69,9 @@ def _oracle_normal_lp(domain: MembershipOracle, basis: MinimalBasis, j: int,
     Maximize the worst support margin over interior samples via an LP in
     (Re gamma, Im gamma, t).
     """
+    if domain.convexity_class != CONVEX:
+        raise UnsupportedBackend(
+            "supporting hyperplanes are only certified for convex oracles")
     p = basis.boundary_points[j]
     dirs = basis.directions
     if j == 0:
@@ -152,7 +100,11 @@ def supporting_normal(domain: Domain, basis: MinimalBasis, j: int, *,
     on the wrong side raises NotSupporting with the witness.
     """
     rng = np.random.default_rng(seed)
-    nu = _raw_normal(domain, basis, j, samples, rng)
+    # closed form on the geometric backends, a sampled LP on oracles
+    if domain.variant == "oracle":
+        nu = _oracle_normal_lp(domain, basis, j, samples, rng)
+    else:
+        nu = domain.outward_normal(basis.boundary_points[j], basis.constraint_indices[j])
     scale = np.linalg.norm(nu)
     if scale == 0:
         raise NotSupporting(f"zero normal at step {j}")
@@ -229,13 +181,6 @@ def build_A(domain: Domain, basis: MinimalBasis, *,
         sub = [abs(A[j, k]) for j in range(1, n) for k in range(j)]
         alpha_max = float(max(sub))
     return Normalization(T, A, normals, complex(np.linalg.det(T)), alpha_max, tri)
-
-
-def normalize(domain: Domain, z, *, samples: int = 512, seed: int = 0):
-    """Convenience: run the slice iteration then assemble T and A."""
-    from .minimal_basis import minimal_basis
-    basis = minimal_basis(domain, z)
-    return basis, build_A(domain, basis, samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

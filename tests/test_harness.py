@@ -147,6 +147,53 @@ def test_unknown_check_rejected():
         parse_scenario(cfg)
 
 
+def _malformed(**over):
+    cfg = {"name": "bad", "domain": BALL2,
+           "points": {"sampler": {"count": 2, "seed": 1}}, "checks": ["theorem_ge"]}
+    cfg.update(over)
+    return cfg
+
+
+# name -> (config, workers); each must fail as ConfigInvalid before any work
+MALFORMED = {
+    "l1_scale_inf": (_malformed(domain={"variant": "l1ball", "n": 2,
+                                        "scale": float("inf")}), 1),
+    "polydisc_nan_radius": (_malformed(domain={
+        "variant": "polydisc", "n": 2, "center": [[0, 0], [0, 0]],
+        "radii": [1.0, float("nan")]}), 1),
+    "domain_n_not_integer": (_malformed(domain={**BALL2, "n": 2.5}), 1),
+    "halfspace_inf_offset": (_malformed(domain={
+        **STRIP, "constraints": [{"a": [[1, 0], [0, 0]], "b": float("inf")}]}), 1),
+    "oracle_inf_search_radius": (_malformed(domain={
+        "variant": "oracle", "n": 2, "class": "c_convex",
+        "predicate": "symmetrized_bidisc", "search_radius": float("inf")}), 1),
+    "points_not_an_object": (_malformed(points=[]), 1),
+    "sampler_not_an_object": (_malformed(points={"sampler": [1]}), 1),
+    "explicit_not_a_list": (_malformed(points={"explicit": 5}), 1),
+    "count_not_integer": (_malformed(points={"sampler": {"count": "x"}}), 1),
+    "seed_negative": (_malformed(points={"sampler": {"count": 1, "seed": -3}}), 1),
+    "explicit_point_nan": (_malformed(points={
+        "explicit": [[[float("nan"), 0.0], [0.0, 0.0]]]}), 1),
+    "box_nan_radius": (_malformed(points={"sampler": {"count": 1, "box": {
+        "center": [[0, 0], [0, 0]], "radii": [1.0, float("nan")]}}}), 1),
+    "checks_not_a_list": (_malformed(checks="theorem_ge"), 1),
+    "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1),
+    "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1),
+    "workers_zero": (_malformed(), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_is_config_invalid(case, tmp_path, capsys):
+    config, workers = MALFORMED[case]
+    with pytest.raises(ConfigInvalid):
+        run_scenario(config, workers=workers)
+    path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json"),
+                 "--workers", str(workers)]) == 1
+    assert "ConfigInvalid" in capsys.readouterr().err
+
+
 def test_applicable_checks_by_domain():
     assert set(applicable_checks(unit_ball(2))) == set(ALL_CHECKS)
     bidisc_checks = applicable_checks(symmetrized_bidisc())

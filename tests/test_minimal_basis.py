@@ -20,7 +20,6 @@ from holovol.errors import (
 )
 from holovol.linalg import random_unitary, uniform_ball
 from holovol.minimal_basis import (
-    boundary_distance_in_slice,
     distance_product,
     minimal_basis,
     slice_distance,
@@ -248,12 +247,12 @@ def test_slice_distance_requires_orthonormal_basis():
         slice_distance(dom, np.zeros(2, dtype=np.complex128), V)
 
 
-def test_boundary_distance_in_slice_returns_pair():
+def test_slice_distance_returns_tau_and_point():
     dom = unit_ball(2)
-    tau, p = boundary_distance_in_slice(dom, np.zeros(2, dtype=np.complex128),
-                                        np.eye(2, dtype=np.complex128))
-    assert tau == pytest.approx(1.0, rel=1e-9)
-    assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-9)
+    r = slice_distance(dom, np.zeros(2, dtype=np.complex128),
+                       np.eye(2, dtype=np.complex128))
+    assert r.tau == pytest.approx(1.0, rel=1e-9)
+    assert np.linalg.norm(r.p) == pytest.approx(1.0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

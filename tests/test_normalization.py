@@ -17,7 +17,6 @@ from holovol.normalization import (
     build_T,
     c_n,
     lemma_margins,
-    normalize,
     random_admissible_A,
     sample_en,
     supporting_normal,
@@ -146,7 +145,8 @@ def test_c_convex_oracle_normals_unsupported():
 
 def test_A_identity_for_ellipsoid_at_center():
     E = ellipsoid_21()
-    basis, norm = normalize(E, np.zeros(2, dtype=np.complex128))
+    basis = minimal_basis(E, np.zeros(2, dtype=np.complex128))
+    norm = build_A(E, basis)
     assert norm.A == pytest.approx(np.eye(2, dtype=np.complex128), abs=1e-9)
     assert norm.alpha_max < 1e-9
     assert norm.triangularity_residual < 1e-9
@@ -155,7 +155,8 @@ def test_A_identity_for_ellipsoid_at_center():
 def test_A_frozen_ball_off_center():
     # unit ball at (1/2, 0): alpha_21 = 1/3 with the canonical frame
     B = unit_ball(2)
-    basis, norm = normalize(B, np.array([0.5 + 0j, 0j]))
+    basis = minimal_basis(B, np.array([0.5 + 0j, 0j]))
+    norm = build_A(B, basis)
     assert norm.A == pytest.approx(
         np.array([[1.0, 0.0], [1.0 / 3.0, 1.0]], dtype=np.complex128), abs=1e-7)
 
@@ -164,7 +165,8 @@ def test_A_unit_diagonal_and_bounded_entries():
     rng = np.random.default_rng(79)
     for _ in range(15):
         dom = random_bounded_halfspace(rng)
-        basis, norm = normalize(dom, np.zeros(2, dtype=np.complex128))
+        basis = minimal_basis(dom, np.zeros(2, dtype=np.complex128))
+        norm = build_A(dom, basis)
         A = norm.A
         assert np.all(np.diag(A) == 1.0)
         assert np.max(np.abs(np.triu(A, 1))) == 0.0
@@ -226,7 +228,8 @@ def test_verify_normalization_on_model_domains():
                          radii=np.array([1.0, 0.5])),
                 random_bounded_halfspace(rng)):
         z = np.zeros(2, dtype=np.complex128)
-        basis, norm = normalize(dom, z)
+        basis = minimal_basis(dom, z)
+        norm = build_A(dom, basis)
         res = verify_normalization(dom, basis, norm, samples=1500, seed=3)
         assert res["en_margin"] > -1e-6
         assert res["lemma_margin"] > 0
@@ -235,7 +238,8 @@ def test_verify_normalization_on_model_domains():
 
 def test_verify_normalization_frozen_lemma_margin():
     E = ellipsoid_21()
-    basis, norm = normalize(E, np.zeros(2, dtype=np.complex128))
+    basis = minimal_basis(E, np.zeros(2, dtype=np.complex128))
+    norm = build_A(E, basis)
     res = verify_normalization(E, basis, norm, samples=4000, seed=5)
     # A = I: documented worst-case margin 1 - sqrt(2)/sqrt(5) over the sphere
     assert res["lemma_margin"] == pytest.approx(0.3675445573, abs=2e-3)
@@ -244,7 +248,8 @@ def test_verify_normalization_frozen_lemma_margin():
 def test_square_halfspace_image_stays_left_of_one():
     D = square_domain()
     z = np.zeros(2, dtype=np.complex128)
-    basis, norm = normalize(D, z)
+    basis = minimal_basis(D, z)
+    norm = build_A(D, basis)
     rng = np.random.default_rng(101)
     box = np.array([[-1.0, 1.0], [-40, 40], [-1, 1], [-40, 40]])
     pts = sample_interior(D, 3000, rng, box=box)
