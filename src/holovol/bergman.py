@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .domains import CONVEX, C_CONVEX, AffineBallImage, Domain, contains
+from .domains import (
+    CONVEX,
+    C_CONVEX,
+    AffineBallImage,
+    Domain,
+    contains,
+)
 from .errors import PointOutsideDomain, TailDiverges, UnsupportedDomain
 from .linalg import as_cvector
 from .volume_elements import Interval

@@ -222,7 +222,7 @@ class Domain:
 
     @property
     def bounded(self) -> bool:
-        raise NotImplementedError
+        return math.isfinite(self.diameter())
 
     @property
     def exact_oracle(self) -> ExactOracle | None:
@@ -310,10 +310,6 @@ class HalfspaceConvex(Domain):
                     raise HolovolError(f"support LP failed: {res.message}")
                 box[i, col] = -res.fun if sign < 0 else res.fun  # [min, max]
         return box
-
-    @property
-    def bounded(self) -> bool:
-        return self.bounding_box is not None
 
     @cached_property
     def chebyshev_center(self) -> np.ndarray:
@@ -434,18 +430,19 @@ class AffineBallImage(Domain):
         return np.linalg.norm(self.to_ball(pts), axis=1) < 1.0
 
     @property
-    def bounded(self) -> bool:
-        return True
-
-    @property
     def exact_oracle(self) -> ExactOracle:
-        return ExactOracle(
-            self.n,
-            forward=lambda w: np.atleast_2d(w) @ self.matrix.T + self.center,
-            inverse=lambda z: self.to_ball(np.atleast_2d(z)),
-            jacobian_det=lambda w: np.full(np.atleast_2d(w).shape[0], self._det,
-                                           dtype=np.complex128),
-        )
+        M, c, det = self.matrix, self.center, self._det
+
+        def forward(w):
+            return np.atleast_2d(w) @ M.T + c
+
+        def inverse(z):
+            return self.to_ball(np.atleast_2d(z))
+
+        def jac(w):
+            return np.full(np.atleast_2d(w).shape[0], det, dtype=np.complex128)
+
+        return ExactOracle(self.n, forward, inverse, jac)
 
     def diameter(self) -> float:
         return 2.0 * float(self._sv[0])
@@ -490,10 +487,6 @@ class Polydisc(Domain):
 
     def contains_many(self, pts):
         return np.all(np.abs(pts - self.center) < self.radii[None, :], axis=1)
-
-    @property
-    def bounded(self) -> bool:
-        return True
 
     def diameter(self) -> float:
         return 2.0 * float(np.linalg.norm(self.radii))
@@ -540,10 +533,6 @@ class L1Ball(Domain):
     def contains_many(self, pts):
         return np.sum(np.abs(pts), axis=1) < self.scale
 
-    @property
-    def bounded(self) -> bool:
-        return True
-
     def diameter(self) -> float:
         return 2.0 * self.scale
 
@@ -586,10 +575,6 @@ class SiegelHalfSpace(Domain):
 
     def contains_many(self, pts):
         return self.defect(pts) > 0.0
-
-    @property
-    def bounded(self) -> bool:
-        return False
 
     @property
     def exact_oracle(self) -> ExactOracle:
@@ -652,10 +637,6 @@ class MembershipOracle(Domain):
             out = np.fromiter((bool(self.predicate(p)) for p in pts),
                               dtype=bool, count=pts.shape[0])
         return out.astype(bool)
-
-    @property
-    def bounded(self) -> bool:
-        return self.enclosing_polydisc is not None
 
     def diameter(self) -> float:
         if self.enclosing_polydisc is None:

@@ -386,7 +386,8 @@ def run_scenario(config, *, workers: int = 1, seed: int | None = None) -> dict:
     records = []
     if points:
         # degeneracy gate: the first point runs synchronously
-        first = evaluate_point(domain, points[0], checks, tol, _point_seed(eff_seed, 0))
+        first = evaluate_point(domain, points[0], checks, tol,
+                               _point_seed(eff_seed, 0))
         err = first.get("error", {})
         if err.get("type") == "DegenerateDomain":
             raise DomainRejected(

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .domains import CONVEX, Domain, MembershipOracle, polydisc_box, sample_interior
+from .domains import (
+    CONVEX,
+    Domain,
+    MembershipOracle,
+    polydisc_box,
+    sample_interior,
+)
 from .errors import (
     InclusionViolated,
     NotSupporting,

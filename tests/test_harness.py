@@ -154,39 +154,45 @@ def _malformed(**over):
     return cfg
 
 
-# name -> (config, workers); each must fail as ConfigInvalid before any work
+# name -> (config, workers, reason); each must fail as ConfigInvalid before any work
 MALFORMED = {
     "l1_scale_inf": (_malformed(domain={"variant": "l1ball", "n": 2,
-                                        "scale": float("inf")}), 1),
+                                        "scale": float("inf")}), 1, "scale"),
     "polydisc_nan_radius": (_malformed(domain={
         "variant": "polydisc", "n": 2, "center": [[0, 0], [0, 0]],
-        "radii": [1.0, float("nan")]}), 1),
-    "domain_n_not_integer": (_malformed(domain={**BALL2, "n": 2.5}), 1),
+        "radii": [1.0, float("nan")]}), 1, "polydisc center and radii must be finite"),
+    "domain_n_not_integer": (_malformed(domain={**BALL2, "n": 2.5}), 1, "domain n"),
     "halfspace_inf_offset": (_malformed(domain={
-        **STRIP, "constraints": [{"a": [[1, 0], [0, 0]], "b": float("inf")}]}), 1),
+        **STRIP, "constraints": [{"a": [[1, 0], [0, 0]], "b": float("inf")}]}), 1,
+        "halfspace constraints must be finite"),
     "oracle_inf_search_radius": (_malformed(domain={
         "variant": "oracle", "n": 2, "class": "c_convex",
-        "predicate": "symmetrized_bidisc", "search_radius": float("inf")}), 1),
-    "points_not_an_object": (_malformed(points=[]), 1),
-    "sampler_not_an_object": (_malformed(points={"sampler": [1]}), 1),
-    "explicit_not_a_list": (_malformed(points={"explicit": 5}), 1),
-    "count_not_integer": (_malformed(points={"sampler": {"count": "x"}}), 1),
-    "seed_negative": (_malformed(points={"sampler": {"count": 1, "seed": -3}}), 1),
+        "predicate": "symmetrized_bidisc", "search_radius": float("inf")}), 1,
+        "search_radius"),
+    "points_not_an_object": (_malformed(points=[]), 1, "points must be an object"),
+    "sampler_not_an_object": (_malformed(points={"sampler": [1]}), 1, "sampler an object"),
+    "explicit_not_a_list": (_malformed(points={"explicit": 5}), 1, "explicit must be a list"),
+    "count_not_integer": (_malformed(points={"sampler": {"count": "x"}}), 1,
+                          "sampler count"),
+    "seed_negative": (_malformed(points={"sampler": {"count": 1, "seed": -3}}), 1,
+                      "sampler seed"),
     "explicit_point_nan": (_malformed(points={
-        "explicit": [[[float("nan"), 0.0], [0.0, 0.0]]]}), 1),
+        "explicit": [[[float("nan"), 0.0], [0.0, 0.0]]]}), 1, "non-finite coordinates"),
     "box_nan_radius": (_malformed(points={"sampler": {"count": 1, "box": {
-        "center": [[0, 0], [0, 0]], "radii": [1.0, float("nan")]}}}), 1),
-    "checks_not_a_list": (_malformed(checks="theorem_ge"), 1),
-    "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1),
-    "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1),
-    "workers_zero": (_malformed(), 0),
+        "center": [[0, 0], [0, 0]], "radii": [1.0, float("nan")]}}}), 1, "sampler box"),
+    "checks_not_a_list": (_malformed(checks="theorem_ge"), 1, "checks must be a list"),
+    "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1,
+                          r"unknown tolerances: \['chek_tol'\]"),
+    "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1,
+                               "tolerance 'check_tol'"),
+    "workers_zero": (_malformed(), 0, "workers"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_is_config_invalid(case, tmp_path, capsys):
-    config, workers = MALFORMED[case]
-    with pytest.raises(ConfigInvalid):
+    config, workers, reason = MALFORMED[case]
+    with pytest.raises(ConfigInvalid, match=reason):
         run_scenario(config, workers=workers)
     path = write_config(tmp_path, config)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.json"),
