@@ -610,7 +610,6 @@ class MembershipOracle(Domain):
     predicate: Callable = None
     declared_class: str = C_CONVEX
     search_radius: float = 1e6
-    refine_iters: int = 3
     predicate_name: str | None = None
     enclosing_polydisc: tuple | None = None
 
@@ -620,9 +619,8 @@ class MembershipOracle(Domain):
         super().__post_init__()
         if self.declared_class not in (CONVEX, C_CONVEX):
             raise ConfigInvalid(f"unknown convexity class {self.declared_class!r}")
-        if not (0 < self.search_radius < math.inf) or self.refine_iters < 1:
-            raise ConfigInvalid(
-                "oracle needs a finite search_radius > 0 and refine_iters >= 1")
+        if not 0 < self.search_radius < math.inf:
+            raise ConfigInvalid("oracle needs a finite search_radius > 0")
         self.convexity_class = self.declared_class
         if self.enclosing_polydisc is not None:
             c, r = self.enclosing_polydisc
@@ -658,10 +656,13 @@ class MembershipOracle(Domain):
         if self.predicate_name is None:
             raise ConfigInvalid("only named oracle predicates are serializable")
         return {**super().to_json(), "predicate": self.predicate_name,
-                "search_radius": self.search_radius, "refine_iters": self.refine_iters}
+                "search_radius": self.search_radius}
 
     @classmethod
     def from_json(cls, n, data):
+        unknown = sorted(set(data) - {"variant", "n", "class", "predicate", "search_radius"})
+        if unknown:
+            raise ConfigInvalid(f"unknown oracle keys: {unknown}")
         name = data["predicate"]
         meta = ORACLE_PREDICATES.get(name)
         if meta is None:
@@ -671,7 +672,6 @@ class MembershipOracle(Domain):
         return cls(n, predicate=meta["predicate"],
                    declared_class=data.get("class", meta["class"]),
                    search_radius=float(data.get("search_radius", 1e6)),
-                   refine_iters=int(data.get("refine_iters", 3)),
                    predicate_name=name,
                    enclosing_polydisc=meta.get("enclosing_polydisc"))
 
@@ -767,11 +767,10 @@ ORACLE_PREDICATES: dict[str, dict] = {
 }
 
 
-def symmetrized_bidisc(search_radius: float = 8.0, refine_iters: int = 3) -> MembershipOracle:
+def symmetrized_bidisc(search_radius: float = 8.0) -> MembershipOracle:
     """The symmetrized bidisc as a named membership oracle (C-convex, not convex)."""
     return MembershipOracle.from_json(2, {"predicate": "symmetrized_bidisc",
-                                          "search_radius": search_radius,
-                                          "refine_iters": refine_iters})
+                                          "search_radius": search_radius})
 
 
 def domain_to_json(domain: Domain) -> dict:

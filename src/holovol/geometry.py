@@ -14,10 +14,12 @@ point to the domain boundary within an affine complex slice:
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
-  membership flip, bisect, then refine the best direction locally
-  (golden-section over tangent parameters).  It only needs a membership
-  predicate, so it doubles as the independent cross-check for every closed
-  form.
+  membership flip and bisect, then refine the best direction by shrinking
+  stencil rounds (a batched pattern search, Hooke & Jeeves 1961).  Every ray
+  of a grid or stencil marches and bisects in one batch of membership calls,
+  and rows whose march bracket cannot hold the minimum are not bisected.  It
+  only needs a membership predicate, so it doubles as the independent
+  cross-check for every closed form.
 """
 
 from __future__ import annotations
@@ -104,13 +106,17 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float,
 
 @dataclass
 class PolarConfig:
-    """Tunables for the direction-grid search (defaults match the documented
-    resolution: 64 directions per complex slice dimension, 3 refinement rounds)."""
+    """Tunables for the direction-grid search.
+
+    The initial grid has about grid_per_dim^k directions on a slice of complex
+    dimension k (see :func:`sphere_grid`); ``max_grid`` caps it and every
+    refinement stencil.  Refinement rounds shrink the stencil half-width by 3
+    until it falls below ``stop_angle`` radians.
+    """
 
     grid_per_dim: int = 64
     max_grid: int = 16384
-    refine_rounds: int = 3
-    rel_tol: float = 1e-7
+    stop_angle: float = 1e-7
     march_steps: int = 64
     bisect_iters: int = 60
     chunk: int = 200_000  # max points per membership batch
@@ -195,25 +201,6 @@ def ray_first_exit(contains_many, z, a, cap, steps=64, iters=60):
     return float(_bisect_rows(contains_many, z, a[None, :], lo, hi, iters)[0])
 
 
-def _golden(f, lo, hi, iters=22):
-    """Golden-section minimizer on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent space of the sphere at w_real (unit)."""
     d = w_real.shape[0]
@@ -228,61 +215,80 @@ def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
+def _batch_exits(contains_many, z, A, radii, cfg: PolarConfig) -> np.ndarray:
+    """First-exit radii of the rays z + r*A[i]: one march over `radii` for all
+    rows, then one bisection of the rows that can still hold the minimum.
+
+    A row's bisected radius lies inside its march bracket (lo, hi), so a row
+    whose lo is at or above the smallest hi of an exited row cannot be the
+    argmin; it is left at inf, as are rows that never exit.
+    """
+    inside = _march_brackets(contains_many, z, A, radii, cfg.chunk)
+    lo, hi, exited = _first_flip(inside, radii)
+    taus = np.full(A.shape[0], np.inf)
+    if exited.any():
+        live = exited & (lo < hi[exited].min())
+        taus[live] = _bisect_rows(contains_many, z, A[live], lo[live], hi[live],
+                                  cfg.bisect_iters)
+    return taus
+
+
+def _stencil(axes: int, cap: int) -> np.ndarray:
+    """Offsets in [-1, 1]^axes around a direction, at most `cap` rows.
+
+    The tensor grid of 5 offsets per axis, else of 3; when even 3^axes exceeds
+    the cap, the 2*axes points +-e_i (a compass stencil).
+    """
+    for m in (5, 3):
+        if m ** axes <= cap:
+            ticks = np.linspace(-1.0, 1.0, m)
+            mesh = np.meshgrid(*[ticks] * axes, indexing="ij")
+            return np.stack([g.reshape(-1) for g in mesh], axis=1)
+    eye = np.eye(axes)
+    return np.vstack([eye, -eye])
+
+
 def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
                      config: PolarConfig | None = None):
     """Distance to the boundary within the slice z + span_C(V), by polar search.
 
     Returns (tau, p).  Raises Unbounded when no grid ray exits within `cap`.
-    The result is an upper bound on the true distance that tightens with the
-    grid/refinement; accuracy is empirical (~1e-5 relative on smooth domains)
+    The best ray of the direction grid is refined by stencil rounds: every
+    candidate direction of a stencil around the current best one marches and
+    bisects in one batch, the search moves only to a strictly shorter exit,
+    and the stencil shrinks by 3 per round down to ``stop_angle``.  The
+    result is an upper bound on the true distance; its accuracy is empirical
     and callers treat it as the approximate path.
     """
     cfg = config or PolarConfig()
     n, k = V.shape
     dirs = sphere_grid(k, cfg.grid_per_dim, cfg.max_grid)
-    A = dirs @ V.T  # ambient unit directions inside the slice
     radii = np.linspace(cap / cfg.march_steps, cap, cfg.march_steps)
-    inside = _march_brackets(contains_many, z, A, radii, cfg.chunk)
-    lo, hi, exited = _first_flip(inside, radii)
-    if not exited.any():
+    taus = _batch_exits(contains_many, z, dirs @ V.T, radii, cfg)
+    best = int(np.argmin(taus))
+    if not math.isfinite(taus[best]):
         raise Unbounded(
-            f"no boundary within radius {cap:g} along {A.shape[0]} slice directions",
+            f"no boundary within radius {cap:g} along {dirs.shape[0]} slice directions",
             witness={"point": z, "slice_dim": k, "radius": cap})
-    idx = np.flatnonzero(exited)
-    taus = _bisect_rows(contains_many, z, A[idx], lo[idx], hi[idx], cfg.bisect_iters)
-    best_local = int(np.argmin(taus))
-    tau = float(taus[best_local])
-    w = dirs[idx[best_local]]
+    tau = float(taus[best])
+    w_real = np.concatenate([dirs[best].real, dirs[best].imag])
 
-    def exit_along(w_complex, budget):
-        a = w_complex @ V.T
-        r = ray_first_exit(contains_many, z, a, budget,
-                           steps=max(cfg.march_steps // 2, 24), iters=cfg.bisect_iters)
-        return r if math.isfinite(r) else budget * 1.05
-
-    # local refinement around the best direction
-    w_real = np.concatenate([w.real, w.imag])
+    # stencil rounds around the best direction; each march starts near 0,
+    # since no bracket is assumed for the exit along a nearby ray
+    offsets = _stencil(2 * k - 1, cfg.max_grid)
+    steps = max(cfg.march_steps // 2, 24)
     delta = {1: 2.0 * np.pi / cfg.grid_per_dim, 2: 0.25, 3: 0.35}.get(k, 0.45)
-    for _ in range(cfg.refine_rounds):
-        tau_before = tau
-        frame = _tangent_frame(w_real)
-        for i in range(frame.shape[1]):
-            t_i = frame[:, i]
-
-            def f(s):
-                cand = w_real + s * t_i
-                cand = cand / np.linalg.norm(cand)
-                return exit_along(join_complex(cand), 1.3 * tau)
-
-            s_best, f_best = _golden(f, -delta, delta)
-            if f_best < tau:
-                w_real = w_real + s_best * t_i
-                w_real /= np.linalg.norm(w_real)
-                tau = f_best
-                frame = _tangent_frame(w_real)
+    while delta >= cfg.stop_angle:
+        cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        budget = 1.3 * tau
+        taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,
+                            np.linspace(budget / steps, budget, steps), cfg)
+        best = int(np.argmin(taus))
+        if taus[best] < tau:
+            tau = float(taus[best])
+            w_real = cand[best]
         delta /= 3.0
-        if abs(tau_before - tau) <= cfg.rel_tol * tau:
-            break
 
     # final high-precision exit along the refined direction
     a = join_complex(w_real) @ V.T

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ MALFORMED = {
         "variant": "oracle", "n": 2, "class": "c_convex",
         "predicate": "symmetrized_bidisc", "search_radius": float("inf")}), 1,
         "search_radius"),
+    "oracle_refine_iters": (_malformed(domain={
+        "variant": "oracle", "n": 2, "class": "c_convex",
+        "predicate": "symmetrized_bidisc", "refine_iters": 3}), 1, "refine_iters"),
     "points_not_an_object": (_malformed(points=[]), 1, "points must be an object"),
     "sampler_not_an_object": (_malformed(points={"sampler": [1]}), 1, "sampler an object"),
     "explicit_not_a_list": (_malformed(points={"explicit": 5}), 1, "explicit must be a list"),
@@ -301,6 +305,18 @@ def test_cli_run_red_exit_two(tmp_path, capsys):
     cfg = write_config(tmp_path, cfg_data)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_cli_run_unrunnable_checks_exit_zero(tmp_path, capsys):
+    # an unbounded tube asked for every check: the Bergman checks and
+    # corollary_v cannot run there, which is no falsification
+    golden = Path(__file__).parent / "golden" / "halfspace_tube.config.json"
+    out = tmp_path / "r.json"
+    assert main(["run", "--config", str(golden), "--out", str(out)]) == 0
+    checks = [c for r in json.loads(out.read_text())["points"]
+              for c in r["checks"].values()]
+    assert any("skipped" in c for c in checks)
+    assert all(c["pass"] is not False for c in checks)
 
 
 def test_cli_bad_config_exit_one(tmp_path, capsys):

@@ -18,8 +18,10 @@ from holovol.errors import (
     PointOutsideDomain,
     PointTooCloseToBoundary,
 )
+from holovol import geometry
 from holovol.linalg import random_unitary, uniform_ball
 from holovol.minimal_basis import (
+    EPS_POLAR,
     distance_product,
     minimal_basis,
     slice_distance,
@@ -224,6 +226,79 @@ def test_bidisc_polar_backend_marks_approximate():
     assert basis.methods == ["polar", "polar"]
     assert basis.tau_rel_err > 0
     assert basis.taus[0] <= basis.taus[1] * (1 + basis.tau_rel_err)
+
+
+def convex_oracle(ball: AffineBallImage) -> MembershipOracle:
+    """The ellipsoid seen only through its membership predicate."""
+    return MembershipOracle(
+        ball.n, predicate=ball.contains_many, declared_class="convex",
+        enclosing_polydisc=(ball.center, np.linalg.norm(ball.matrix, axis=1)))
+
+
+# perfbench's panel exhibit (502, 3): an ellipsoid oracle whose nearest
+# boundary point is nearly non-unique at the second point, and its two points
+EXHIBIT_502_3 = AffineBallImage(
+    2,
+    matrix=np.array([[0.4988373450768135 - 0.4717185862434975j,
+                      -1.0080066787565887 + 0.15489543579370998j],
+                     [0.374665948675867 + 0.8302455867704479j,
+                      -0.02859479330759975 + 0.5545642144104262j]]),
+    center=np.array([-0.47390453018931256 - 0.14026726408939683j,
+                     0.07045171240812012 - 0.3125494160491395j]))
+EXHIBIT_502_3_POINTS = (
+    np.array([-1.1239185033377268 + 0.11306216128907987j,
+              -0.4442968199619083 - 0.9048254527753663j]),
+    np.array([-0.676287102463252 + 0.7330740603628665j,
+              0.6329319120569106 + 0.06852691766195962j]),
+)
+
+
+def test_polar_search_matches_quadric_on_ellipsoid_oracles():
+    ell = ellipsoid_21()
+    cases = [(EXHIBIT_502_3, z) for z in EXHIBIT_502_3_POINTS]
+    cases += [(ell, np.array([0.4 + 0.3j, -0.2 + 0.1j])),
+              (ell, np.array([-1.1 + 0.2j, 0.1 - 0.3j]))]
+    for ball, z in cases:
+        exact = minimal_basis(ball, z).taus
+        polar = minimal_basis(convex_oracle(ball), z)
+        assert polar.methods == ["polar", "polar"]
+        assert np.max(np.abs(polar.taus - exact) / exact) < 1e-5
+
+
+def test_bidisc_predicate_call_budget():
+    G = symmetrized_bidisc()
+    pred = G.predicate
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.shape[0])
+        return pred(pts)
+
+    G.predicate = counted
+    minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
+    assert len(calls) <= 2500
+
+
+def test_polar_search_on_four_dimensional_oracle(monkeypatch):
+    # stencils of 5^7 rows would exceed max_grid at k = 4: the capped
+    # stencil must keep every refinement batch within it
+    batches = []
+    march = geometry._march_brackets
+
+    def spy(contains_many, z, A, radii, chunk):
+        batches.append(A.shape[0])
+        return march(contains_many, z, A, radii, chunk)
+
+    monkeypatch.setattr(geometry, "_march_brackets", spy)
+    ball = unit_ball(4)
+    z = np.array([0.3 + 0.1j, -0.2j, 0.15 - 0.1j, 0.05])
+    polar = minimal_basis(convex_oracle(ball), z)
+    exact = minimal_basis(ball, z).taus
+    assert np.max(np.abs(polar.taus - exact) / exact) < EPS_POLAR
+    grids = {geometry.sphere_grid(k).shape[0] for k in range(1, 5)}
+    stencils = [m for m in batches if m not in grids]
+    assert 3 ** 7 in stencils
+    assert max(stencils) <= geometry.PolarConfig().max_grid
 
 
 # ---------------------------------------------------------------------------
