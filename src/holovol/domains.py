@@ -156,26 +156,19 @@ def polydisc_box(center: np.ndarray, radii) -> np.ndarray:
 
 
 def _rejection_sample(domain: "Domain", count: int, rng: np.random.Generator,
-                      box, fallback: Callable | None = None) -> np.ndarray:
-    """Uniform samples inside `box` that `domain` accepts.
-
-    When acceptance stays too low, ``fallback(missing, rng)`` fills the rest if
-    given; otherwise sampling fails.
-    """
+                      box) -> np.ndarray:
+    """Uniform samples inside `box` that `domain` accepts; fails on low acceptance."""
     n = domain.n
     box = np.asarray(box, dtype=np.float64)
     out = np.empty((0, n), dtype=np.complex128)
     attempts = 0
-    limit = 25 if fallback else 2000
     while out.shape[0] < count:
         m = max(4 * count, 512)
         u = rng.random((m, 2 * n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
         cand = u[:, 0::2] + 1j * u[:, 1::2]
         out = np.vstack([out, cand[domain.contains_many(cand)]])
         attempts += 1
-        if attempts > limit and out.shape[0] < count:
-            if fallback:
-                return np.vstack([out, fallback(count - out.shape[0], rng)])[:count]
+        if attempts > 2000 and out.shape[0] < count:
             raise HolovolError("rejection sampling acceptance rate too low")
     return out[:count]
 
@@ -261,7 +254,8 @@ class Domain:
 
 @dataclass
 class HalfspaceConvex(Domain):
-    """Intersection of real halfspaces { z : Re <z, a_i> < b_i }."""
+    """Intersection of real halfspaces { z : Re <z, a_i> < b_i }; a bounded one
+    is triangulated when first needed (vertex box, exactly uniform samples)."""
 
     normals: np.ndarray = None
     offsets: np.ndarray = None
@@ -283,33 +277,29 @@ class HalfspaceConvex(Domain):
         return np.all(lhs < self.offsets[None, :], axis=1)
 
     def _real_lp_data(self):
-        """Constraints as A x <= b over x = (Re z_1, Im z_1, ..., Re z_n, Im z_n)."""
-        m = self.normals.shape[0]
-        A = np.empty((m, 2 * self.n))
-        A[:, 0::2] = self.normals.real
-        A[:, 1::2] = self.normals.imag
-        return A, self.offsets.copy()
+        """Constraints as A x <= b over x = (Re z_1, Im z_1, ..., Re z_n, Im z_n),
+        the memory layout of a complex vector."""
+        return np.ascontiguousarray(self.normals).view(np.float64), self.offsets.copy()
 
     @cached_property
     def bounding_box(self) -> np.ndarray | None:
-        """Real (2n, 2) coordinate bounding box via 4n support LPs, or None if unbounded."""
+        """Real (2n, 2) [min, max] box of the vertices, or None if unbounded:
+        by Stiemke's theorem {x : A x <= 0} = {0} exactly when A has full column
+        rank and A^T lambda = 0 for some lambda >= 1 (one feasibility LP)."""
         from scipy.optimize import linprog
 
-        A, b = self._real_lp_data()
-        d = 2 * self.n
-        box = np.empty((d, 2))
-        for i in range(d):
-            for sign, col in ((1.0, 0), (-1.0, 1)):
-                c = np.zeros(d)
-                c[i] = sign
-                res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * d,
-                              method="highs")
-                if res.status == 3:  # unbounded
-                    return None
-                if res.status != 0:
-                    raise HolovolError(f"support LP failed: {res.message}")
-                box[i, col] = -res.fun if sign < 0 else res.fun  # [min, max]
-        return box
+        A, _ = self._real_lp_data()
+        m, d = A.shape
+        if m <= d or np.linalg.matrix_rank(A) < d:
+            return None
+        res = linprog(np.zeros(m), A_eq=A.T, b_eq=np.zeros(d),
+                      bounds=[(1.0, None)] * m, method="highs")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise HolovolError(f"boundedness LP failed: {res.message}")
+        verts = self._triangulation[1]
+        return np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
 
     @cached_property
     def chebyshev_center(self) -> np.ndarray:
@@ -326,12 +316,33 @@ class HalfspaceConvex(Domain):
                       method="highs")
         if res.status == 3:
             raise UnboundedDomain("no finite inscribed-ball center")
-        if res.status != 0 or res.x[-1] <= 0:
+        if res.status == 2 or (res.status == 0 and res.x[-1] <= 0):
+            raise DegenerateDomain("polytope has empty interior")
+        if res.status != 0:
             raise HolovolError(f"inscribed-ball LP failed: {res.message}")
         return res.x[:d:2] + 1j * res.x[1:d:2]
 
+    @cached_property
+    def _triangulation(self):
+        """(center, vertices, cone-simplex edges, cumulative volumes x d!) of a
+        bounded polytope: Qhull (Barber, Dobkin & Huhdanpaa 1996) finds the
+        vertices and simplicial hull facets; each facet is coned to the center."""
+        from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+
+        A, b = self._real_lp_data()
+        x0 = self.chebyshev_center.view(np.float64)  # (Re z_1, Im z_1, ...)
+        try:
+            with np.errstate(divide="ignore"):  # a center on a facet fails in Qhull
+                verts = HalfspaceIntersection(np.hstack([A, -b[:, None]]), x0).intersections
+            facets = ConvexHull(verts).simplices
+        except QhullError as exc:
+            raise DegenerateDomain("polytope triangulation failed: "
+                                   + str(exc).strip().splitlines()[0]) from exc
+        edges = verts[facets] - x0
+        return x0, verts, edges, np.cumsum(np.abs(np.linalg.det(edges)))
+
     def diameter(self) -> float:
-        """Certified upper bound: the diagonal of the bounding box."""
+        """Certified upper bound: the diagonal of the vertex bounding box."""
         box = self.bounding_box
         if box is None:
             return math.inf
@@ -348,39 +359,24 @@ class HalfspaceConvex(Domain):
         return float(np.linalg.norm(far))
 
     def sample(self, count, rng, box=None):
-        if box is None and self.bounded:
-            # thin polytopes defeat box rejection
-            return _rejection_sample(self, count, rng, self.bounding_box,
-                                     fallback=self._ray_samples)
-        return super().sample(count, rng, box)
-
-    def _ray_samples(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Star-shaped sampling of a bounded polytope from its Chebyshev center.
-
-        Casts uniform sphere directions from the center of the largest inscribed
-        ball and places a point at a random fraction of the exit distance.  Not
-        volume-uniform, but covers the whole body with a guaranteed acceptance
-        rate of one, which is what the inclusion checks need on thin polytopes.
-        """
-        n = self.n
-        x0 = self.chebyshev_center
-        slack = self.offsets - (self.normals.conj() @ x0).real
-        out = np.empty((count, n), dtype=np.complex128)
-        filled = 0
-        while filled < count:
-            m = count - filled
-            u = rng.normal(size=(m, 2 * n))
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            d = u[:, 0::2] + 1j * u[:, 1::2]
-            proj = (d @ self.normals.conj().T).real
-            with np.errstate(divide="ignore"):
-                t = np.where(proj > 1e-14, slack[None, :] / proj, np.inf).min(axis=1)
-            s = rng.random(m) ** (1.0 / (2 * n))
-            pts = x0[None, :] + (s * t * (1.0 - 1e-9))[:, None] * d
-            good = self.contains_many(pts)
-            out[filled:filled + int(good.sum())] = pts[good]
-            filled += int(good.sum())
-        return out
+        """Exactly uniform on a bounded polytope without a box: a simplex is
+        picked by volume and weighted by normalised exponentials (Devroye
+        1986, ch. V); rows that rounding puts on a facet are drawn again."""
+        if box is not None or not self.bounded:
+            return super().sample(count, rng, box)
+        x0, _, edges, cum = self._triangulation
+        out = np.empty((0, self.n), dtype=np.complex128)
+        while out.shape[0] < count:
+            m = count - out.shape[0]
+            k = np.searchsorted(cum, rng.random(m) * cum[-1], side="right")
+            w = rng.exponential(size=(m, 2 * self.n + 1))
+            w /= w.sum(axis=1, keepdims=True)
+            cand = (x0 + np.einsum("mi,mij->mj", w[:, 1:], edges[k])).view(np.complex128)
+            keep = self.contains_many(cand)
+            if not keep.any():
+                raise DegenerateDomain("polytope too thin to sample its interior")
+            out = np.vstack([out, cand[keep]])
+        return out[:count]
 
     def outward_normal(self, p, constraint_index=None):
         if constraint_index is None:
@@ -696,8 +692,8 @@ def contains(domain: Domain, z) -> bool | np.ndarray:
 
 def diameter(domain: Domain) -> float:
     """Diameter: exact for polydisc/ball-image/l1; certified upper bound for
-    bounded halfspace intersections (bounding-box diagonal) and oracles with an
-    enclosing polydisc; +inf otherwise."""
+    bounded halfspace intersections (diagonal of the vertex box) and oracles
+    with an enclosing polydisc; +inf otherwise."""
     return domain.diameter()
 
 
@@ -739,9 +735,10 @@ def sample_interior(domain: Domain, count: int, rng: np.random.Generator,
 
     Ball images map uniform ball samples through F; polydiscs sample each disc;
     the Siegel half-space pushes ball samples through the Cayley map (coverage,
-    not uniformity, is the contract).  Halfspace and oracle domains use
-    rejection sampling inside `box` (real (2n, 2) bounds), defaulting to the
-    bounding box / enclosing polydisc when available.
+    not uniformity, is the contract).  Bounded polytopes sample their cached
+    triangulation exactly.  Given `box` (real (2n, 2) bounds), halfspace and
+    oracle domains rejection-sample inside it; oracles default to their
+    enclosing polydisc, and unbounded polytopes need the box.
     """
     return domain.sample(count, rng, box)
 

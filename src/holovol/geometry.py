@@ -126,19 +126,22 @@ def sphere_grid(k: int, per_dim: int = 64, cap: int = 16384) -> np.ndarray:
     """Deterministic direction grid on the unit sphere of C^k, shape (m, k).
 
     k = 1 is a uniform phase circle.  k >= 2 uses a hyperspherical product grid
-    over (k-1) modulus angles and k phases, sized to ~per_dim^k points overall
-    but capped; the k coordinate directions are prepended so symmetric
-    configurations resolve to coordinate solutions deterministically.
+    over (k-1) modulus angles and k phases, sized to ~per_dim^k points overall;
+    the k coordinate directions are prepended so symmetric configurations
+    resolve to coordinate solutions deterministically.  The largest parameter
+    axis (the first among equals) loses one point at a time until the whole
+    grid fits in ``cap`` rows or every axis is down to 3 points.
     """
     if k == 1:
         th = np.linspace(0.0, 2.0 * np.pi, per_dim, endpoint=False)
         dirs = np.exp(1j * th)[:, None]
         return np.vstack([np.eye(1, dtype=np.complex128), dirs])
-    target = min(per_dim ** k, cap)
     params = 2 * k - 1
-    gsize = max(3, round(target ** (1.0 / params)))
-    etas = [(np.arange(gsize) + 0.5) / gsize * (np.pi / 2)] * (k - 1)
-    phases = [np.arange(gsize) / gsize * (2 * np.pi)] * k
+    sizes = [max(3, round(min(per_dim ** k, cap) ** (1.0 / params)))] * params
+    while math.prod(sizes) + k > cap and max(sizes) > 3:
+        sizes[sizes.index(max(sizes))] -= 1
+    etas = [(np.arange(g) + 0.5) / g * (np.pi / 2) for g in sizes[:k - 1]]
+    phases = [np.arange(g) / g * (2 * np.pi) for g in sizes[k - 1:]]
     mesh = np.meshgrid(*etas, *phases, indexing="ij")
     shape = mesh[0].size
     moduli = np.ones((shape, k))

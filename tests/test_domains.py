@@ -1,7 +1,14 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from test_acceptance import random_simplex_containing_zero
+from test_harness import STRIP
+from test_normalization import random_bounded_halfspace
 
 from holovol.domains import (
     AffineBallImage,
@@ -24,13 +31,31 @@ from holovol.domains import (
     unit_ball,
     validate_oracle,
 )
-from holovol.errors import ConfigInvalid, NoOracle, PointOutsideDomain, UnboundedDomain
+from holovol.errors import (
+    ConfigInvalid,
+    DegenerateDomain,
+    NoOracle,
+    PointOutsideDomain,
+    UnboundedDomain,
+)
 from holovol.linalg import random_unitary, uniform_ball
 
 
 def square_domain():
     normals = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.complex128)
     return HalfspaceConvex(n=2, normals=normals, offsets=np.ones(4))
+
+
+def cube(n, half_width=1.0):
+    normals = np.kron(np.eye(n), np.array([[1], [-1], [1j], [-1j]]))
+    return HalfspaceConvex(n, normals=normals.astype(np.complex128),
+                           offsets=np.full(4 * n, half_width))
+
+
+def real_coords(pts):
+    x = np.empty((pts.shape[0], 2 * pts.shape[1]))
+    x[:, 0::2], x[:, 1::2] = pts.real, pts.imag
+    return x
 
 
 def ellipsoid_21():
@@ -240,6 +265,82 @@ def test_sample_interior_unbounded_needs_box():
     assert np.all(strip_like.contains_many(pts))
 
 
+def simplex_vertices(dom):
+    # each vertex of a simplex of R^d lies on d of its d + 1 facets
+    A = real_coords(dom.normals)  # Re <z, a_i> = x . A[i]
+    d = A.shape[1]
+    return np.array([np.linalg.solve(A[list(rows)], dom.offsets[list(rows)])
+                     for rows in itertools.combinations(range(d + 1), d)])
+
+
+def support_lp_box(dom):
+    A = real_coords(dom.normals)
+    d = A.shape[1]
+    box = np.empty((d, 2))
+    for i, sign in itertools.product(range(d), (1.0, -1.0)):
+        c = np.zeros(d)
+        c[i] = sign
+        res = linprog(c, A_ub=A, b_ub=dom.offsets, bounds=[(None, None)] * d,
+                      method="highs")
+        assert res.status == 0
+        box[i, 0 if sign > 0 else 1] = sign * res.fun
+    return box
+
+
+def test_polytope_sampler_is_uniform():
+    rng = np.random.default_rng(41)
+    simplex = random_simplex_containing_zero(np.random.default_rng(4))
+    x = real_coords(sample_interior(simplex, 200_000, rng))
+    sigma = x.std(axis=0) / np.sqrt(x.shape[0])
+    assert np.all(np.abs(x.mean(axis=0) - simplex_vertices(simplex).mean(axis=0))
+                  < 5 * sigma)
+    # a coordinate of the cube [-1, 1]^4 has variance 1/3; x^2 has variance 4/45
+    x = real_coords(sample_interior(cube(2), 200_000, rng))
+    assert np.all(np.abs(x.var(axis=0) - 1 / 3) < 5 * np.sqrt(4 / 45 / x.shape[0]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), simplex=st.booleans())
+def test_polytope_samples_inside_and_vertex_box_matches_lp(seed, simplex):
+    rng = np.random.default_rng(seed)
+    dom = random_simplex_containing_zero(rng) if simplex else random_bounded_halfspace(rng)
+    assert dom.bounded
+    pts = sample_interior(dom, 2000, rng)
+    assert pts.shape == (2000, 2)
+    assert np.all(dom.contains_many(pts))
+    # near-parallel facets put vertices of the simplex family up to ~1e4 out
+    lp_box = support_lp_box(dom)
+    assert np.max(np.abs(dom.bounding_box - lp_box)) < 1e-9 * max(1.0, np.abs(lp_box).max())
+
+
+def test_thin_tilted_polytope_samples_inside():
+    Q = np.linalg.qr(np.random.default_rng(43).normal(size=(4, 4)))[0]
+    rows = np.vstack([Q, -Q])
+
+    def tilted_box(half, thickness):
+        return HalfspaceConvex(2, normals=rows[:, 0::2] + 1j * rows[:, 1::2],
+                               offsets=np.array([half, half, half, thickness] * 2))
+
+    thin = tilted_box(1.0, 1e-9)
+    pts = sample_interior(thin, 1000, np.random.default_rng(47))
+    assert np.all(thin.contains_many(pts))
+    assert np.max(np.abs(real_coords(pts) @ Q[3])) <= 1e-9
+    # thinner than Qhull resolves: degenerate, not a QhullError or RuntimeWarning
+    for half, thickness in ((1.0, 3e-14), (1e4, 1e-11)):
+        with pytest.raises(DegenerateDomain, match="triangulation failed"):
+            sample_interior(tilted_box(half, thickness), 10, np.random.default_rng(47))
+
+
+def test_polytope_with_empty_interior_is_degenerate():
+    # 0 <= Re z_1 <= 0 inside the cube
+    flat = HalfspaceConvex(2, normals=cube(2).normals,
+                           offsets=np.array([0.0, 0.0, 1, 1, 1, 1, 1, 1]))
+    with pytest.raises(DegenerateDomain, match="polytope has empty interior"):
+        sample_interior(flat, 10, np.random.default_rng(53))
+    with pytest.raises(DegenerateDomain, match="polytope has empty interior"):
+        diameter(flat)
+
+
 def test_sampling_is_seed_deterministic():
     dom = unit_ball(2)
     a = sample_interior(dom, 64, np.random.default_rng(99))
@@ -265,15 +366,15 @@ def test_contains_is_strict():
 
 def test_halfspace_boundedness():
     assert not square_domain().bounded  # imaginary directions are free
-    normals = []
-    for k in range(2):
-        for a in (1, -1, 1j, -1j):
-            row = [0, 0]
-            row[k] = a
-            normals.append(row)
-    diamond = HalfspaceConvex(2, normals=np.array(normals, dtype=np.complex128),
-                              offsets=np.ones(8))
-    assert diamond.bounded
+    assert cube(2).bounded
+    # six full-rank normals that all have Re a_1 > 0 leave the ray -Re z_1 free
+    rows = np.random.default_rng(37).normal(size=(6, 4))
+    rows[:, 0] = np.abs(rows[:, 0]) + 0.5
+    assert np.linalg.matrix_rank(rows) == 4
+    cone = HalfspaceConvex(2, normals=rows[:, 0::2] + 1j * rows[:, 1::2],
+                           offsets=np.ones(6))
+    assert not cone.bounded
+    assert not domain_from_json(STRIP).bounded
 
 
 # ---------------------------------------------------------------------------

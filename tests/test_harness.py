@@ -55,11 +55,15 @@ def test_reports_are_deterministic(tmp_path):
 
 
 def test_worker_pool_equivalence():
-    cfg = ball_config(count=8)
-    r1 = run_scenario(cfg, workers=1, seed=3)
-    r4 = run_scenario(cfg, workers=4, seed=3)
-    assert json.dumps(drop_timing(r1), sort_keys=True, default=str) == \
-        json.dumps(drop_timing(r4), sort_keys=True, default=str)
+    # a bounded polytope: each worker rebuilds its triangulation from JSON
+    polytope = json.loads(
+        (Path(__file__).parent / "golden" / "halfspace.config.json").read_text())
+    polytope["points"]["sampler"]["count"] = 5
+    for cfg, workers in ((ball_config(count=8), 4), (polytope, 2)):
+        r1 = run_scenario(cfg, workers=1, seed=3)
+        rw = run_scenario(cfg, workers=workers, seed=3)
+        assert json.dumps(drop_timing(r1), sort_keys=True, default=str) == \
+            json.dumps(drop_timing(rw), sort_keys=True, default=str)
 
 
 def test_seed_changes_points():

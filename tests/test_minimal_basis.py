@@ -281,7 +281,8 @@ def test_bidisc_predicate_call_budget():
 
 def test_polar_search_on_four_dimensional_oracle(monkeypatch):
     # stencils of 5^7 rows would exceed max_grid at k = 4: the capped
-    # stencil must keep every refinement batch within it
+    # stencil must keep every refinement batch within it, and every
+    # initial direction grid (k = 1..4) must fit in it too
     batches = []
     march = geometry._march_brackets
 
@@ -296,9 +297,11 @@ def test_polar_search_on_four_dimensional_oracle(monkeypatch):
     exact = minimal_basis(ball, z).taus
     assert np.max(np.abs(polar.taus - exact) / exact) < EPS_POLAR
     grids = {geometry.sphere_grid(k).shape[0] for k in range(1, 5)}
+    max_grid = geometry.PolarConfig().max_grid
+    assert max(grids) <= max_grid
     stencils = [m for m in batches if m not in grids]
     assert 3 ** 7 in stencils
-    assert max(stencils) <= geometry.PolarConfig().max_grid
+    assert max(stencils) <= max_grid
 
 
 # ---------------------------------------------------------------------------
