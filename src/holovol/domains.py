@@ -342,21 +342,23 @@ class HalfspaceConvex(Domain):
         return x0, verts, edges, np.cumsum(np.abs(np.linalg.det(edges)))
 
     def diameter(self) -> float:
-        """Certified upper bound: the diagonal of the vertex bounding box."""
-        box = self.bounding_box
-        if box is None:
+        """Exact: the largest distance between two vertices (computed once)."""
+        return self._diameter
+
+    @cached_property
+    def _diameter(self) -> float:
+        if self.bounding_box is None:
             return math.inf
-        return float(np.linalg.norm(box[:, 1] - box[:, 0]))
+        from scipy.spatial.distance import pdist
+
+        return float(pdist(self._triangulation[1]).max())
 
     def circumscribed_radius(self, z):
-        box = self.bounding_box
-        if box is None:
+        """Exact: the farthest point of a polytope from z is a vertex."""
+        if self.bounding_box is None:
             return math.inf
-        # farthest corner of the real bounding box
-        zr = np.empty(2 * self.n)
-        zr[0::2], zr[1::2] = z.real, z.imag
-        far = np.maximum(np.abs(box[:, 0] - zr), np.abs(box[:, 1] - zr))
-        return float(np.linalg.norm(far))
+        verts = self._triangulation[1].view(np.complex128)
+        return float(np.linalg.norm(verts - z, axis=1).max())
 
     def sample(self, count, rng, box=None):
         """Exactly uniform on a bounded polytope without a box: a simplex is
@@ -691,9 +693,9 @@ def contains(domain: Domain, z) -> bool | np.ndarray:
 
 
 def diameter(domain: Domain) -> float:
-    """Diameter: exact for polydisc/ball-image/l1; certified upper bound for
-    bounded halfspace intersections (diagonal of the vertex box) and oracles
-    with an enclosing polydisc; +inf otherwise."""
+    """Diameter: exact for polydisc/ball-image/l1 and bounded halfspace
+    intersections (the widest pair of vertices); a certified upper bound for
+    oracles with an enclosing polydisc; +inf otherwise."""
     return domain.diameter()
 
 

@@ -14,12 +14,13 @@ point to the domain boundary within an affine complex slice:
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
-  membership flip and bisect, then refine the best direction by shrinking
-  stencil rounds (a batched pattern search, Hooke & Jeeves 1961).  Every ray
-  of a grid or stencil marches and bisects in one batch of membership calls,
-  and rows whose march bracket cannot hold the minimum are not bisected.  It
-  only needs a membership predicate, so it doubles as the independent
-  cross-check for every closed form.
+  membership flip and narrow it by section search, then refine the best
+  direction by shrinking stencil rounds (a batched pattern search, Hooke &
+  Jeeves 1961).  The rays of a grid or stencil march together up to the first
+  block of radii where one exits; each later membership call cuts every live
+  bracket 16-fold down to float resolution, and rows that cannot hold the
+  minimum drop out.  It only needs a membership predicate, so it doubles as
+  the independent cross-check for every closed form.
 """
 
 from __future__ import annotations
@@ -111,15 +112,15 @@ class PolarConfig:
     The initial grid has about grid_per_dim^k directions on a slice of complex
     dimension k (see :func:`sphere_grid`); ``max_grid`` caps it and every
     refinement stencil.  Refinement rounds shrink the stencil half-width by 3
-    until it falls below ``stop_angle`` radians.
+    until it falls below ``stop_angle`` radians.  Brackets from the march are
+    narrowed to float resolution, so no iteration count is set.
     """
 
     grid_per_dim: int = 64
     max_grid: int = 16384
     stop_angle: float = 1e-7
     march_steps: int = 64
-    bisect_iters: int = 60
-    chunk: int = 200_000  # max points per membership batch
+    chunk: int = 200_000  # max rows (points x n) per membership batch
 
 
 def sphere_grid(k: int, per_dim: int = 64, cap: int = 16384) -> np.ndarray:
@@ -168,40 +169,66 @@ def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
 
 
 def _march_brackets(contains_many, z, A, radii, chunk):
-    """inside matrix for rays z + r*A[i] over all radii; A is (m, n) ambient dirs."""
+    """inside matrix for rays z + r*A[i] over increasing radii; A is (m, n).
+
+    Radii go in blocks of as many as fit in ``chunk`` rows (points x n) for
+    all m rays, and the march stops after the first block in which any ray
+    exits.  Columns past it stay True: a ray that first exits beyond that
+    block has lo >= the least hi, so it cannot hold the minimum.
+    """
     m, n = A.shape
-    L = radii.shape[0]
-    rows = max(1, chunk // max(L * n, 1))
-    inside = np.empty((m, L), dtype=bool)
-    for s in range(0, m, rows):
-        block = A[s:s + rows]  # (b, n)
-        pts = z[None, None, :] + radii[None, :, None] * block[:, None, :]
-        inside[s:s + rows] = contains_many(pts.reshape(-1, n)).reshape(block.shape[0], L)
+    width = max(1, chunk // (m * n))  # radii per block
+    rows = max(1, chunk // (width * n))  # rays per membership call
+    inside = np.ones((m, radii.shape[0]), dtype=bool)
+    for c in range(0, radii.shape[0], width):
+        cols = slice(c, c + width)
+        for s in range(0, m, rows):
+            block = A[s:s + rows]  # (b, n)
+            pts = z[None, None, :] + radii[None, cols, None] * block[:, None, :]
+            inside[s:s + rows, cols] = contains_many(pts.reshape(-1, n)).reshape(len(block), -1)
+        if not inside[:, cols].all():
+            break
     return inside
 
 
-def _bisect_rows(contains_many, z, A, lo, hi, iters):
-    """Vectorized bisection of the membership flip per ray; returns exit radii."""
-    lo = lo.copy()
-    hi = hi.copy()
-    n = A.shape[1]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        pts = z[None, :] + mid[:, None] * A
-        ins = contains_many(pts.reshape(-1, n))
-        lo = np.where(ins, mid, lo)
-        hi = np.where(ins, hi, mid)
-    return 0.5 * (lo + hi)
+_SPLIT = 16  # sections per bracket and membership call (15 interior radii)
 
 
-def ray_first_exit(contains_many, z, a, cap, steps=64, iters=60):
-    """First membership flip along z + r*a, r in (0, cap]; inf when none found."""
-    radii = np.linspace(cap / steps, cap, steps)
-    inside = _march_brackets(contains_many, z, a[None, :], radii, steps * z.shape[0] + 1)
-    lo, hi, exited = _first_flip(inside, radii)
-    if not exited[0]:
-        return math.inf
-    return float(_bisect_rows(contains_many, z, a[None, :], lo, hi, iters)[0])
+def _section_search(contains_many, z, A, lo, hi, chunk):
+    """First membership flip along the rays z + r*A[i] within brackets
+    (lo, hi] (lo inside, hi outside), to float resolution.
+
+    Each call tests the 15 interior radii that cut every live bracket into 16
+    equal sections and keeps the section around the first outside sample.  A
+    row is finished, at the midpoint of its bracket, once lo and hi are
+    adjacent floats; until then every call moves an end.  A row whose lo
+    exceeds the least hi cannot hold the minimum, nor tie with it: it leaves
+    the search and stays at inf.
+    """
+    m, n = A.shape
+    taus = np.full(m, np.inf)
+    idx = np.arange(m)  # rows still searched; lo, hi and A hold only these
+    least = hi.min()
+    frac = np.arange(_SPLIT + 1) / _SPLIT
+    rows = max(1, chunk // ((_SPLIT - 1) * n))  # rows per membership call
+    while True:
+        done = np.nextafter(lo, hi) == hi
+        taus[idx[done]] = 0.5 * (lo[done] + hi[done])
+        keep = ~done & (lo <= least)
+        idx, lo, hi, A = idx[keep], lo[keep], hi[keep], A[keep]
+        if not idx.size:
+            return taus
+        r = lo[:, None] + (hi - lo)[:, None] * frac
+        r[:, -1] = hi
+        pts = z + r[:, 1:-1, None] * A[:, None, :]
+        outside = np.ones((idx.size, _SPLIT), dtype=bool)
+        for s in range(0, idx.size, rows):
+            outside[s:s + rows, :-1] = ~contains_many(
+                pts[s:s + rows].reshape(-1, n)).reshape(-1, _SPLIT - 1)
+        first = outside.argmax(axis=1)
+        k = np.arange(idx.size)
+        lo, hi = r[k, first], r[k, first + 1]
+        least = min(least, hi.min())
 
 
 def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
@@ -220,19 +247,19 @@ def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
 
 def _batch_exits(contains_many, z, A, radii, cfg: PolarConfig) -> np.ndarray:
     """First-exit radii of the rays z + r*A[i]: one march over `radii` for all
-    rows, then one bisection of the rows that can still hold the minimum.
+    rows, then one section search of the rows that can still hold the minimum.
 
-    A row's bisected radius lies inside its march bracket (lo, hi), so a row
-    whose lo is at or above the smallest hi of an exited row cannot be the
-    argmin; it is left at inf, as are rows that never exit.
+    A row's exit radius lies inside its march bracket (lo, hi], so a row whose
+    lo is at or above the smallest hi of an exited row cannot be the argmin;
+    it is left at inf, as are rows that never exit.
     """
     inside = _march_brackets(contains_many, z, A, radii, cfg.chunk)
     lo, hi, exited = _first_flip(inside, radii)
     taus = np.full(A.shape[0], np.inf)
     if exited.any():
         live = exited & (lo < hi[exited].min())
-        taus[live] = _bisect_rows(contains_many, z, A[live], lo[live], hi[live],
-                                  cfg.bisect_iters)
+        taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live],
+                                     cfg.chunk)
     return taus
 
 
@@ -258,8 +285,8 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
     Returns (tau, p).  Raises Unbounded when no grid ray exits within `cap`.
     The best ray of the direction grid is refined by stencil rounds: every
     candidate direction of a stencil around the current best one marches and
-    bisects in one batch, the search moves only to a strictly shorter exit,
-    and the stencil shrinks by 3 per round down to ``stop_angle``.  The
+    is searched in one batch, the search moves only to a strictly shorter
+    exit, and the stencil shrinks by 3 per round down to ``stop_angle``.  The
     result is an upper bound on the true distance; its accuracy is empirical
     and callers treat it as the approximate path.
     """
@@ -293,11 +320,12 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
             w_real = cand[best]
         delta /= 3.0
 
-    # final high-precision exit along the refined direction
+    # final exit along the refined direction, marched from 0 again
     a = join_complex(w_real) @ V.T
-    r = ray_first_exit(contains_many, z, a, 1.5 * tau,
-                       steps=cfg.march_steps, iters=80)
+    reach = 1.5 * tau
+    r = _batch_exits(contains_many, z, a[None, :], np.linspace(
+        reach / cfg.march_steps, reach, cfg.march_steps), cfg)[0]
     if math.isfinite(r):
-        tau = r
+        tau = float(r)
     p = z + tau * a
     return tau, p

@@ -156,6 +156,23 @@ def test_diameters_closed_forms():
     assert diameter(SiegelHalfSpace(n=2)) == np.inf
 
 
+def test_polytope_diameter_and_radius_come_from_vertices():
+    # the vertex-box diagonal overstates this simplex by 24%; on the cube
+    # [-1, 1]^4 of C^2 box diagonal and diameter are both 4
+    simplex = random_simplex_containing_zero(np.random.default_rng(4))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    z = np.array([0.1 - 0.2j, 0.3j])
+    for dom, verts in ((simplex, simplex_vertices(simplex)), (cube(2), corners)):
+        widest = max(np.linalg.norm(a - b) for a, b in itertools.combinations(verts, 2))
+        assert diameter(dom) == pytest.approx(widest, rel=1e-9)
+        farthest = max(np.linalg.norm(v - real_coords(z[None, :])[0]) for v in verts)
+        assert circumscribed_radius(dom, z) == pytest.approx(farthest, rel=1e-9)
+    box = simplex.bounding_box
+    assert np.linalg.norm(box[:, 1] - box[:, 0]) > 1.2 * diameter(simplex)
+    box = cube(2).bounding_box
+    assert np.linalg.norm(box[:, 1] - box[:, 0]) == diameter(cube(2)) == 4.0
+
+
 def test_circumscribed_radius_bounds_all_samples():
     rng = np.random.default_rng(5)
     for dom in (unit_ball(2), ellipsoid_21(),

@@ -276,13 +276,47 @@ def test_bidisc_predicate_call_budget():
 
     G.predicate = counted
     minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
-    assert len(calls) <= 2500
+    assert len(calls) <= 800
+
+
+def test_section_search_finds_first_of_two_flips():
+    # inside on [0, 1/3) and (0.45, 0.7): bisection from (0, 1] would test
+    # 0.5, land inside and converge on the second exit at 0.7
+    first, reenter, second = 1.0 / 3.0, 0.45, 0.7
+
+    def contains_many(pts):
+        r = pts[:, 0].real
+        return (r < first) | ((r > reenter) & (r < second))
+
+    z = np.zeros(2, dtype=np.complex128)
+    A = np.array([[1.0 + 0j, 0j]])
+    tau = geometry._section_search(contains_many, z, A, np.array([0.0]),
+                                   np.array([1.0]), chunk=200_000)[0]
+    assert abs(tau - first) <= 2 * np.spacing(first)
+
+
+@pytest.mark.parametrize("domain, z, V, chunk", [
+    # 4,098 grid rays x n = 2: one radius per grid block
+    (symmetrized_bidisc(), np.array([0.3 - 0.2j, 0.1 + 0.15j]),
+     np.eye(2, dtype=np.complex128), 8196),
+    # a non-aligned l1-ball slice: 65 rays x 2
+    (L1Ball(n=2, scale=1.0), np.array([0.1 + 0.05j, -0.2j]),
+     np.array([[0.6 + 0j], [0.8j]]), 130),
+])
+def test_polar_march_is_invariant_to_block_size(domain, z, V, chunk):
+    default = slice_distance(domain, z, V)
+    one_radius = slice_distance(domain, z, V, geometry.PolarConfig(chunk=chunk))
+    assert default.method == one_radius.method == "polar"
+    assert default.tau == one_radius.tau
+    assert np.array_equal(default.p, one_radius.p)
 
 
 def test_polar_search_on_four_dimensional_oracle(monkeypatch):
     # stencils of 5^7 rows would exceed max_grid at k = 4: the capped
     # stencil must keep every refinement batch within it, and every
-    # initial direction grid (k = 1..4) must fit in it too
+    # initial direction grid (k = 1..4) must fit in it too; every predicate
+    # batch must fit in chunk, though one section-search call over all
+    # 12,292 k = 4 grid rays would not
     batches = []
     march = geometry._march_brackets
 
@@ -292,10 +326,20 @@ def test_polar_search_on_four_dimensional_oracle(monkeypatch):
 
     monkeypatch.setattr(geometry, "_march_brackets", spy)
     ball = unit_ball(4)
+    oracle = convex_oracle(ball)
+    predicate_rows = []
+
+    def counted(pts):
+        predicate_rows.append(pts.shape[0] * pts.shape[1])
+        return ball.contains_many(pts)
+
+    oracle.predicate = counted
     z = np.array([0.3 + 0.1j, -0.2j, 0.15 - 0.1j, 0.05])
-    polar = minimal_basis(convex_oracle(ball), z)
+    polar = minimal_basis(oracle, z)
     exact = minimal_basis(ball, z).taus
     assert np.max(np.abs(polar.taus - exact) / exact) < EPS_POLAR
+    # chunk counts points x n, as the march and the section search do
+    assert max(predicate_rows) <= geometry.PolarConfig().chunk
     grids = {geometry.sphere_grid(k).shape[0] for k in range(1, 5)}
     max_grid = geometry.PolarConfig().max_grid
     assert max(grids) <= max_grid

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holovol.domains import (
     AffineBallImage,
     Polydisc,
     SiegelHalfSpace,
+    cayley,
     circumscribed_radius,
     exact_volume_element,
     sample_interior,
     unit_ball,
 )
 from holovol.errors import BadDimension, Pole, UnboundedDomain
+from holovol.linalg import uniform_ball
 from holovol.minimal_basis import distance_product, minimal_basis
+from holovol.normalization import build_A
 from holovol.volume_elements import (
     Interval,
     QuotientBound,
@@ -266,8 +271,6 @@ def test_scaling_bound_polydisc_consistent():
 
 
 def test_siegel_volume_element_in_certified_interval():
-    from holovol.domains import cayley
-    from holovol.linalg import uniform_ball
     rng = np.random.default_rng(113)
     S = SiegelHalfSpace(n=2)
     pts = cayley(uniform_ball(2, 20, rng) * 0.9)
@@ -276,3 +279,40 @@ def test_siegel_volume_element_in_certified_interval():
         basis = minimal_basis(S, z)
         iv = certified_interval("convex", 2, distance_product(basis))
         assert iv.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# invariants over generated domains and points
+# ---------------------------------------------------------------------------
+
+
+def generated_ellipsoid(rng, n):
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
+    dom = AffineBallImage(n, matrix=M, center=rng.normal(size=n) + 1j * rng.normal(size=n))
+    return dom, sample_interior(dom, 1, rng)[0]
+
+
+def generated_polydisc(rng, n):
+    dom = Polydisc(n, center=rng.normal(size=n) + 1j * rng.normal(size=n),
+                   radii=rng.uniform(0.2, 2.0, size=n))
+    return dom, sample_interior(dom, 1, rng)[0]
+
+
+def generated_siegel_point(rng, n):
+    return SiegelHalfSpace(n=n), cayley(0.9 * uniform_ball(n, 1, rng))[0]
+
+
+@pytest.mark.parametrize("generate", [generated_ellipsoid, generated_polydisc,
+                                      generated_siegel_point])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3))
+def test_taus_normalization_and_interval_invariants(generate, seed, n):
+    dom, z = generate(np.random.default_rng(seed), n)
+    basis = minimal_basis(dom, z)
+    assert np.all(np.diff(basis.taus) >= 0)
+    norm = build_A(dom, basis)
+    assert abs(norm.det_T) * np.prod(basis.taus) == pytest.approx(1.0, abs=1e-9)
+    if dom.exact_oracle is not None:
+        iv = certified_interval(dom.convexity_class, n, distance_product(basis),
+                                tau_rel_err=basis.tau_rel_err)
+        assert iv.contains(exact_volume_element(dom, z))
