@@ -26,15 +26,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .domains import (
-    CONVEX,
-    C_CONVEX,
     AffineBallImage,
     Domain,
     contains,
 )
 from .errors import PointOutsideDomain, TailDiverges, UnsupportedDomain
 from .linalg import as_cvector
-from .volume_elements import Interval
+from .volume_elements import Interval, class_constant
 
 #: shell-to-shell growth above which the geometric tail estimate is refused
 TAIL_RATIO_LIMIT = 0.9
@@ -231,11 +229,7 @@ def bergman_closed(domain: Domain, z) -> BergmanValue:
 def kernel_product_bounds(convexity_class: str, n: int) -> tuple:
     """(lower, upper) constants for K(z) * p_D^2."""
     upper = math.factorial(2 * n) / (2.0 * math.pi) ** n
-    if convexity_class == CONVEX:
-        return (4.0 * math.pi) ** (-n), upper
-    if convexity_class == C_CONVEX:
-        return (16.0 * math.pi) ** (-n), upper
-    raise ValueError(f"unknown convexity class {convexity_class!r}")
+    return (class_constant(convexity_class) * math.pi) ** (-n), upper
 
 
 def kernel_sandwich_check(convexity_class: str, n: int, K: BergmanValue,
@@ -259,14 +253,9 @@ def kernel_sandwich_check(convexity_class: str, n: int, K: BergmanValue,
 
 
 def ratio_band(convexity_class: str, n: int) -> tuple:
-    if convexity_class == CONVEX:
-        lo = math.pi ** n / (math.factorial(2 * n) * (2.0 * n) ** n)
-        hi = (4.0 * math.pi * (4.0 ** n - 1.0) / 3.0) ** n
-    elif convexity_class == C_CONVEX:
-        lo = math.pi ** n / (math.factorial(2 * n) * (8.0 * n) ** n)
-        hi = (16.0 * math.pi * (4.0 ** n - 1.0) / 3.0) ** n
-    else:
-        raise ValueError(f"unknown convexity class {convexity_class!r}")
+    k = class_constant(convexity_class)
+    lo = math.pi ** n / (math.factorial(2 * n) * (k / 2.0 * n) ** n)
+    hi = (k * math.pi * (4.0 ** n - 1.0) / 3.0) ** n
     return lo, hi
 
 

@@ -37,7 +37,7 @@ from .errors import (
     UnboundedDomain,
     UnsupportedBackend,
 )
-from .linalg import as_cvector, phase, uniform_ball
+from .linalg import as_cvector, phase, sample_en, uniform_ball
 
 CONVEX = "convex"
 C_CONVEX = "c_convex"
@@ -197,7 +197,7 @@ class Domain:
     The methods below are what every backend answers; the defaults suit a
     domain known only through membership.  Modules that import this one key
     their per-backend code by ``variant``: slice kernels in ``minimal_basis``,
-    Reinhardt moments in ``bergman``, the sampled LP normal of oracles in
+    Reinhardt moments in ``bergman``, the exit-derivative normal of oracles in
     ``normalization``.
     """
 
@@ -540,14 +540,7 @@ class L1Ball(Domain):
         return math.sqrt(nz * nz + s * s + 2.0 * s * float(np.max(np.abs(z))))
 
     def sample(self, count, rng, box=None):
-        # rejection from the circumscribing polydisc; acceptance is fine for n <= 4
-        n = self.n
-        box_dom = Polydisc(n, center=np.zeros(n), radii=np.full(n, self.scale))
-        out = np.empty((0, n), dtype=np.complex128)
-        while out.shape[0] < count:
-            cand = box_dom.sample(max(count, 256), rng)
-            out = np.vstack([out, cand[self.contains_many(cand)]])
-        return out[:count]
+        return self.scale * sample_en(self.n, count, rng)
 
     def outward_normal(self, p, constraint_index=None):
         return np.array([phase(c) if abs(c) > 0 else 0.0 for c in p],

@@ -263,6 +263,15 @@ def _batch_exits(contains_many, z, A, radii, cfg: PolarConfig) -> np.ndarray:
     return taus
 
 
+def ray_exit(contains_many, z: np.ndarray, a: np.ndarray, reach: float,
+             config: PolarConfig | None = None) -> float:
+    """First exit radius of the single ray z + r*a, marched from 0 to `reach`
+    and narrowed to float resolution; inf when no march radius is outside."""
+    cfg = config or PolarConfig()
+    radii = np.linspace(reach / cfg.march_steps, reach, cfg.march_steps)
+    return float(_batch_exits(contains_many, z, a[None, :], radii, cfg)[0])
+
+
 def _stencil(axes: int, cap: int) -> np.ndarray:
     """Offsets in [-1, 1]^axes around a direction, at most `cap` rows.
 
@@ -322,10 +331,8 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
 
     # final exit along the refined direction, marched from 0 again
     a = join_complex(w_real) @ V.T
-    reach = 1.5 * tau
-    r = _batch_exits(contains_many, z, a[None, :], np.linspace(
-        reach / cfg.march_steps, reach, cfg.march_steps), cfg)[0]
+    r = ray_exit(contains_many, z, a, 1.5 * tau, cfg)
     if math.isfinite(r):
-        tau = float(r)
+        tau = r
     p = z + tau * a
     return tau, p

@@ -82,7 +82,6 @@ ALL_CHECKS = (
 
 DEFAULT_TOLERANCES = {
     "base_slack": 1e-9,
-    "support_samples": 1000,
     "verify_samples": 2000,
     "max_degree": 40,
     "check_tol": 1e-9,
@@ -275,7 +274,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
 
     @_once
     def normalized():
-        norm = build_A(domain, basis, samples=int(tol["support_samples"]), seed=seed)
+        norm = build_A(domain, basis)
         margins = verify_normalization(domain, basis, norm,
                                        samples=int(tol["verify_samples"]), seed=seed + 1)
         return norm, margins

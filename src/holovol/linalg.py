@@ -104,3 +104,16 @@ def uniform_ball(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     radii = rng.random((count, 1)) ** (1.0 / (2 * n))
     return g / norms * radii
 
+
+def sample_en(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples from the unit l1 ball E_n = {sum |w_j| < 1} of C^n, exact
+    (no rejection).
+
+    The moduli vector has density prop. to prod r_j on the simplex, i.e.
+    R * Dirichlet(2,...,2) with R = U^(1/2n); phases are uniform.
+    """
+    u = rng.dirichlet(np.full(n, 2.0), size=count)
+    radius = rng.random(count) ** (1.0 / (2 * n))
+    moduli = u * radius[:, None]
+    phases = np.exp(2j * np.pi * rng.random((count, n)))
+    return moduli * phases

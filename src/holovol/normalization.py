@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (perfbench/spans.py counts LP solves here)
 
 from .domains import (
     CONVEX,
@@ -36,9 +36,13 @@ from .errors import (
     TriangularityViolated,
     UnsupportedBackend,
 )
+from .geometry import ray_exit
+from .linalg import sample_en
 from .minimal_basis import MinimalBasis
 
 SUPPORT_TOL = 1e-6
+#: tilt angle of the rays whose exits give the supporting normals of oracles
+EXIT_STEP = 1e-4
 
 
 def c_n(n: int) -> float:
@@ -55,60 +59,44 @@ def build_T(basis: MinimalBasis) -> np.ndarray:
     return T
 
 
-def _interior_samples(domain: Domain, basis: MinimalBasis, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Interior samples; unbounded bodies get a local window around the base
-    point (support inequalities are testable on any subset of D)."""
-    if domain.bounded:
-        return sample_interior(domain, count, rng)
-    box = polydisc_box(basis.base_point, 4.0 * float(basis.taus[-1]))
-    return sample_interior(domain, count, rng, box=box)
+def _oracle_normal(domain: MembershipOracle, basis: MinimalBasis, j: int) -> np.ndarray:
+    """Supporting normal of a convex oracle at its j-th frame point, from the
+    exit radii of rays tilted off d^j.
 
-
-def _oracle_normal_lp(domain: MembershipOracle, basis: MinimalBasis, j: int,
-                      samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Margin-maximizing supporting functional of the guaranteed shape.
-
-    The hyperplane at the j-th frame point can always be written
-    nu = d^j + sum_{k<j} gamma_k d^k (components along later directions vanish
-    because the restriction to the slice supports the inscribed slice ball).
-    Maximize the worst support margin over interior samples via an LP in
-    (Re gamma, Im gamma, t).
+    The normal has the form nu = d^j + sum_{k<j} gamma_k d^k (components along
+    later directions vanish because the restriction to the slice supports the
+    inscribed slice ball).  The ray z + r (cos t d^j + sin t e^{i phi} d^k)
+    leaves a body supported by nu at r(t) with
+    r'(0) = -tau_j Re(e^{i phi} conj(gamma_k)), so phi = 0 gives Re gamma_k and
+    phi = pi/2 gives Im gamma_k; r'(0) is a central difference at t = +-EXIT_STEP.
     """
     if domain.convexity_class != CONVEX:
         raise UnsupportedBackend(
             "supporting hyperplanes are only certified for convex oracles")
-    p = basis.boundary_points[j]
-    dirs = basis.directions
-    if j == 0:
-        return dirs[0].copy()
-    X = _interior_samples(domain, basis, samples, rng)
-    U = (X - p[None, :]) @ np.conj(dirs[: j + 1]).T  # u_{s,k} = <x_s - p, d^k>
-    # constraint per sample: Re u_j + sum_k (a_k Re u_k + b_k Im u_k) + t <= 0
-    A_ub = np.hstack([U[:, :j].real, U[:, :j].imag, np.ones((len(X), 1))])
-    b_ub = -U[:, j].real
-    c = np.zeros(2 * j + 1)
-    c[-1] = -1.0
-    bounds = [(-1e3, 1e3)] * (2 * j) + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        raise NotSupporting(f"support LP failed at step {j}: {res.message}")
-    gamma = res.x[:j] + 1j * res.x[j:2 * j]
-    return dirs[j] + gamma @ dirs[:j]
+    z, dirs, tau = basis.base_point, basis.directions, float(basis.taus[j])
+    cos, sin = math.cos(EXIT_STEP), math.sin(EXIT_STEP)
+
+    def slope(tilt):
+        r = [ray_exit(domain.contains_many, z, cos * dirs[j] + sign * sin * tilt, 1.5 * tau)
+             for sign in (1.0, -1.0)]
+        if not all(map(math.isfinite, r)):
+            raise NotSupporting(f"a ray tilted off d^{j + 1} found no exit")
+        return (r[0] - r[1]) / (2.0 * EXIT_STEP)
+
+    gamma = [-(slope(dirs[k]) + 1j * slope(1j * dirs[k])) / tau for k in range(j)]
+    return dirs[j] + np.array(gamma, dtype=np.complex128) @ dirs[:j]
 
 
-def supporting_normal(domain: Domain, basis: MinimalBasis, j: int, *,
-                      samples: int = 512, seed: int = 0) -> np.ndarray:
+def supporting_normal(domain: Domain, basis: MinimalBasis, j: int) -> np.ndarray:
     """Supporting hyperplane normal at the j-th frame point.
 
+    Closed form on the geometric backends, exit derivatives on convex oracles.
     Returns nu with <nu, d^j> real positive and no components along the later
-    directions d^k, k > j.  Verified against interior samples; a sampled point
-    on the wrong side raises NotSupporting with the witness.
+    directions d^k, k > j; that the hyperplane supports the domain is tested
+    on interior samples by :func:`verify_normalization` (iii).
     """
-    rng = np.random.default_rng(seed)
-    # closed form on the geometric backends, a sampled LP on oracles
     if domain.variant == "oracle":
-        nu = _oracle_normal_lp(domain, basis, j, samples, rng)
+        nu = _oracle_normal(domain, basis, j)
     else:
         nu = domain.outward_normal(basis.boundary_points[j], basis.constraint_indices[j])
     scale = np.linalg.norm(nu)
@@ -125,20 +113,7 @@ def supporting_normal(domain: Domain, basis: MinimalBasis, j: int, *,
     c = coeffs[j]
     if abs(c) < 1e-12 * scale:
         raise NotSupporting(f"normal at step {j} orthogonal to d^{j + 1}")
-    nu = proj * (abs(c) / c)
-    # sampled one-sided check: Re<x - p, nu> <= 0 on the domain
-    X = _interior_samples(domain, basis, samples, rng)
-    diffs = X - basis.boundary_points[j][None, :]
-    margins = -(diffs @ np.conj(nu)).real
-    denom = np.linalg.norm(nu) * np.maximum(np.linalg.norm(diffs, axis=1), 1e-30)
-    rel = margins / denom
-    worst = int(np.argmin(rel))
-    if rel[worst] < -SUPPORT_TOL:
-        raise NotSupporting(
-            f"sampled point crosses the hyperplane at step {j}",
-            witness={"point": X[worst], "relative_margin": float(rel[worst])},
-            margin=float(rel[worst]))
-    return nu
+    return proj * (abs(c) / c)
 
 
 @dataclass
@@ -161,14 +136,12 @@ class Normalization:
         return (pts - basis.base_point[None, :]) @ (self.A @ self.T).T
 
 
-def build_A(domain: Domain, basis: MinimalBasis, *,
-            samples: int = 512, seed: int = 0) -> Normalization:
+def build_A(domain: Domain, basis: MinimalBasis) -> Normalization:
+    """T and the triangular A from the supporting normals at the frame points;
+    raises TriangularityViolated when a normal leans on later directions."""
     n = basis.n
     T = build_T(basis)
-    normals = np.stack([
-        supporting_normal(domain, basis, j, samples=samples, seed=seed + j)
-        for j in range(n)
-    ])
+    normals = np.stack([supporting_normal(domain, basis, j) for j in range(n)])
     # m_j = (T^-1)^* nu_j ;  triangularity of M is the structure theorem
     M = np.linalg.solve(T.conj().T, normals.T).T
     tri = 0.0
@@ -192,19 +165,6 @@ def build_A(domain: Domain, basis: MinimalBasis, *,
 # ---------------------------------------------------------------------------
 # sampled inclusion checks
 # ---------------------------------------------------------------------------
-
-
-def sample_en(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples from E_n = {sum |w_j| < 1}, exact (no rejection).
-
-    The moduli vector has density prop. to prod r_j on the simplex, i.e.
-    R * Dirichlet(2,...,2) with R = U^(1/2n); phases are uniform.
-    """
-    u = rng.dirichlet(np.full(n, 2.0), size=count)
-    radius = rng.random(count) ** (1.0 / (2 * n))
-    moduli = u * radius[:, None]
-    phases = np.exp(2j * np.pi * rng.random((count, n)))
-    return moduli * phases
 
 
 def lemma_margins(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -244,7 +204,8 @@ def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalizatio
 
     (i)   E_n subset T(D - z): pull E_n samples back through T^{-1}.
     (ii)  (1/c_n) B^n subset A(E_n): l1 norm of A^{-1} w on a near-extremal sphere.
-    (iii) A(T(D - z)) subset {Re W_j < 1}: push interior samples forward.
+    (iii) A(T(D - z)) subset {Re W_j < 1}: push interior samples forward;
+          this is the one sampled test that the normals behind A support D.
 
     Returns the minimal margin of each; raises InclusionViolated with a witness
     when a margin dips below -tol.
@@ -270,7 +231,10 @@ def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalizatio
         raise InclusionViolated("ball point left A(E_n)",
                                 witness={"w": sphere[bad]}, margin=float(lm.min()))
 
-    Y = _interior_samples(domain, basis, samples, rng)
+    # unbounded bodies get a local window around z: the support inequalities
+    # are testable on any subset of D
+    box = None if domain.bounded else polydisc_box(z, 4.0 * float(basis.taus[-1]))
+    Y = sample_interior(domain, samples, rng, box=box)
     Wp = norm.map_points(basis, Y)
     hp = 1.0 - Wp.real
     hs_margin = float(hp.min())

@@ -76,16 +76,25 @@ def compound_slack(tau_rel_err: float, n: int, base_slack: float = 1e-9) -> floa
     return (1.0 + tau_rel_err) ** (2 * n) * (1.0 + base_slack) - 1.0
 
 
+#: convexity class -> k of the lower constants (k n)^-n and (k pi)^-n
+_CLASS_CONSTANT = {CONVEX: 4.0, C_CONVEX: 16.0}
+
+
+def class_constant(convexity_class: str) -> float:
+    """k = 4 for convex domains, 16 for C-convex ones: every class-dependent
+    constant of the bounds is a function of it."""
+    try:
+        return _CLASS_CONSTANT[convexity_class]
+    except KeyError:
+        raise ValueError(f"unknown convexity class {convexity_class!r}") from None
+
+
 def ge_constants(convexity_class: str, n: int) -> tuple:
     """(lower, upper) constants bounding v * p_D^2."""
     if n < 2:
         raise BadDimension(f"the two-sided bounds need n >= 2, got {n}")
     upper = ((4.0 ** n - 1.0) / 3.0) ** n
-    if convexity_class == CONVEX:
-        return (4.0 * n) ** (-n), upper
-    if convexity_class == C_CONVEX:
-        return (16.0 * n) ** (-n), upper
-    raise ValueError(f"unknown convexity class {convexity_class!r}")
+    return (class_constant(convexity_class) * n) ** (-n), upper
 
 
 def certified_interval(convexity_class: str, n: int, pD: float, *,
@@ -111,12 +120,8 @@ def quotient_lower_bound(convexity_class: str, n: int) -> QuotientBound:
     """Lower bound for the quotient invariant q = c_D / k_D."""
     if n < 2:
         raise BadDimension(f"quotient bounds need n >= 2, got {n}")
-    if convexity_class == CONVEX:
-        value = (3.0 / (4.0 * n * (4.0 ** n - 1.0))) ** n
-    elif convexity_class == C_CONVEX:
-        value = (3.0 / (16.0 * n * (4.0 ** n - 1.0))) ** n
-    else:
-        raise ValueError(f"unknown convexity class {convexity_class!r}")
+    k = class_constant(convexity_class)
+    value = (3.0 / (k * n * (4.0 ** n - 1.0))) ** n
     return QuotientBound(n, convexity_class, value)
 
 
@@ -129,11 +134,7 @@ def bounded_domain_lower_bound(convexity_class: str, n: int, diam: float) -> flo
         raise UnboundedDomain("the diameter corollary needs a finite diameter")
     if diam <= 0:
         raise ValueError(f"diameter must be positive, got {diam}")
-    if convexity_class == CONVEX:
-        return (4.0 * n * diam * diam) ** (-n)
-    if convexity_class == C_CONVEX:
-        return (16.0 * n * diam * diam) ** (-n)
-    raise ValueError(f"unknown convexity class {convexity_class!r}")
+    return (class_constant(convexity_class) * n * diam * diam) ** (-n)
 
 
 def monotonicity_bounds(basis, circumscribed: float, *,

@@ -271,6 +271,16 @@ def test_sample_interior_stays_inside():
     assert np.all(sq.contains_many(pts))
 
 
+def test_l1ball_sampler_is_uniform():
+    # under the uniform law rho = sum |z_j| / scale has density 2n rho^(2n-1)
+    n, scale, count = 4, 1.7, 2000
+    pts = L1Ball(n, scale=scale).sample(count, np.random.default_rng(31))
+    rho = np.sum(np.abs(pts), axis=1) / scale
+    assert pts.shape == (count, n) and rho.max() < 1.0
+    mean, second = 2 * n / (2 * n + 1), 2 * n / (2 * n + 2)
+    assert abs(rho.mean() - mean) < 5 * np.sqrt((second - mean ** 2) / count)
+
+
 def test_sample_interior_unbounded_needs_box():
     strip_like = HalfspaceConvex(2, normals=np.array([[1, 0]], dtype=np.complex128),
                                  offsets=np.array([1.0]))

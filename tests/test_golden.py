@@ -29,7 +29,7 @@ def _scenario(name: str):
     if name != "oracle_ellipsoid":
         return config
     # a convex membership oracle has no JSON form: wrap the ellipsoid's own
-    # predicate, which exercises the LP supporting normals of convex oracles
+    # predicate, which exercises the exit-derivative normals of convex oracles
     scenario = parse_scenario(config)
     ell = scenario.domain
     scenario.domain = MembershipOracle(

@@ -191,6 +191,8 @@ MALFORMED = {
     "checks_not_a_list": (_malformed(checks="theorem_ge"), 1, "checks must be a list"),
     "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1,
                           r"unknown tolerances: \['chek_tol'\]"),
+    "support_samples_removed": (_malformed(tolerances={"support_samples": 1000}), 1,
+                                r"unknown tolerances: \['support_samples'\]"),
     "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1,
                                "tolerance 'check_tol'"),
     "workers_zero": (_malformed(), 0, "workers"),

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holovol import normalization
 from holovol.domains import (
     AffineBallImage,
     HalfspaceConvex,
+    MembershipOracle,
     Polydisc,
     sample_interior,
     symmetrized_bidisc,
     unit_ball,
 )
-from holovol.errors import NotSupporting, UnsupportedBackend
+from holovol.errors import InclusionViolated, NotSupporting, UnsupportedBackend
 from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.normalization import (
     beta_excess,
@@ -112,7 +116,7 @@ def test_supporting_normal_separates_samples():
         basis = minimal_basis(dom, z)
         pts = sample_interior(dom, 800, rng)
         for j in range(2):
-            nu = supporting_normal(dom, basis, j, seed=1)
+            nu = supporting_normal(dom, basis, j)
             # Re<x - p^j, nu> <= 0 for interior x
             s = ((pts - basis.boundary_points[j][None, :]) @ np.conj(nu)).real
             assert s.max() < 1e-7 * np.linalg.norm(nu)
@@ -129,6 +133,39 @@ def test_supporting_normal_structure_zero_later_components():
     # the first normal must be parallel to the first direction
     cross = nu0 - np.vdot(basis.directions[0], nu0) * basis.directions[0]
     assert np.linalg.norm(cross) < 1e-6 * np.linalg.norm(nu0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 3))
+def test_oracle_normals_match_closed_form_on_ball_images(seed, n):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    ball = AffineBallImage(n, matrix=M, center=rng.normal(size=n) + 1j * rng.normal(size=n))
+    oracle = MembershipOracle(n, predicate=ball.contains_many, declared_class="convex",
+                              enclosing_polydisc=(ball.center, np.linalg.norm(M, axis=1)))
+    basis = minimal_basis(oracle, sample_interior(ball, 1, rng)[0])
+    norm = build_A(oracle, basis)
+    for j in range(n):
+        # the closed form at the oracle's frame point, projected and scaled
+        # like the oracle normal: no later components, <nu, d^j> = 1
+        dirs = basis.directions[: j + 1]
+        coeffs = np.conj(dirs) @ ball.outward_normal(basis.boundary_points[j])
+        assert np.max(np.abs(norm.normals[j] - coeffs @ dirs / coeffs[j])) < 1e-4
+    assert norm.alpha_max <= 1.0
+
+
+def test_tilted_normal_fails_the_halfspace_check(monkeypatch):
+    # nu_1 = d^1 + 0.5 d^0 is not a supporting normal of the ball at its frame
+    # point: the sampled check (iii) of verify_normalization must catch it
+    B = unit_ball(2)
+    basis = minimal_basis(B, np.zeros(2, dtype=np.complex128))
+    d = basis.directions
+    tilted = {0: d[0], 1: d[1] + 0.5 * d[0]}
+    monkeypatch.setattr(normalization, "supporting_normal", lambda dom, b, j: tilted[j])
+    norm = build_A(B, basis)
+    with pytest.raises(InclusionViolated, match="normalized halfspace") as exc:
+        verify_normalization(B, basis, norm, samples=2000, seed=1)
+    assert exc.value.margin < -0.05
 
 
 def test_c_convex_oracle_normals_unsupported():
