@@ -593,7 +593,7 @@ class MembershipOracle(Domain):
     """Domain known only through a membership predicate.
 
     The predicate takes an (m, n) complex array and returns an (m,) boolean
-    array (scalar predicates are wrapped on the fly, at a large speed cost).
+    array; any other shape raises DimensionMismatch.
     ``enclosing_polydisc`` -- (center, radii) -- is optional but unlocks finite
     diameters/circumscribed radii and default sampling boxes.
     """
@@ -619,12 +619,10 @@ class MembershipOracle(Domain):
                                        np.asarray(r, dtype=np.float64))
 
     def contains_many(self, pts):
-        out = self.predicate(pts)
-        out = np.asarray(out)
+        out = np.asarray(self.predicate(pts))
         if out.shape != (pts.shape[0],):
-            # scalar predicate: evaluate row by row
-            out = np.fromiter((bool(self.predicate(p)) for p in pts),
-                              dtype=bool, count=pts.shape[0])
+            raise DimensionMismatch(
+                f"predicate returned shape {out.shape} for {pts.shape[0]} points")
         return out.astype(bool)
 
     def diameter(self) -> float:

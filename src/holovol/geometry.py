@@ -9,8 +9,8 @@ point to the domain boundary within an affine complex slice:
   minimum-norm boundary point satisfies the secular equation
   ``xi(t) = t (I - t H)^{-1} phi`` with q(xi(t)) strictly increasing in t on
   [0, 1/lambda_max) -- a one-constraint trust-region-style projection solved by
-  bisection, with the classical hard case (top eigencomponents of phi vanish)
-  handled explicitly.
+  bisection until the bracket on t is two adjacent floats, with the classical
+  hard case (top eigencomponents of phi vanish) handled explicitly.
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
@@ -18,15 +18,17 @@ point to the domain boundary within an affine complex slice:
   direction by shrinking stencil rounds (a batched pattern search, Hooke &
   Jeeves 1961).  The rays of a grid or stencil march together up to the first
   block of radii where one exits; each later membership call cuts every live
-  bracket 16-fold down to float resolution, and rows that cannot hold the
+  bracket 16-fold down to adjacent floats, and rows that cannot hold the
   minimum drop out.  It only needs a membership predicate, so it doubles as
   the independent cross-check for every closed form.
+
+The search policy is fixed by the module constants below; no function takes
+a setting, and neither 1-D search has an iteration count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +36,17 @@ from .errors import Unbounded
 from .linalg import join_complex
 
 _TINY = 1e-300
+
+#: about GRID_PER_DIM^k directions in the initial grid of a k-dimensional slice
+GRID_PER_DIM = 64
+#: most rays in a direction grid or refinement stencil
+MAX_GRID = 16384
+#: stencil rounds stop once the half-width falls below this angle (radians)
+STOP_ANGLE = 1e-7
+#: radii per march from near 0 to the search radius
+MARCH_STEPS = 64
+#: most rows (points x n) per membership call
+CHUNK = 200_000
 
 
 def _secular(t, lam, phi2, g):
@@ -46,15 +59,16 @@ def _secular(t, lam, phi2, g):
     return math.inf if not np.isfinite(s) else s + g
 
 
-def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float,
-                       iters: int = 110) -> np.ndarray:
+def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
     """Minimum-norm xi with xi^T H xi + 2 phi.xi + g = 0 (H PSD, g < 0).
 
-    Raises Unbounded when the constraint set is empty on every ray (H == 0 and
-    phi == 0, i.e. the slice never meets the boundary).  Ties in the hard case
-    are broken by projecting the first standard basis vector onto the top
-    eigenspace, which is deterministic and reproduces e_1-style choices at
-    fully symmetric configurations.
+    The secular root t is bisected until its bracket ends are adjacent floats,
+    where a further step would move neither.  Raises Unbounded when the
+    constraint set is empty on every ray (H == 0 and phi == 0, i.e. the slice
+    never meets the boundary).  Ties in the hard case are broken by projecting
+    the first standard basis vector onto the top eigenspace, which is
+    deterministic and reproduces e_1-style choices at fully symmetric
+    configurations.
     """
     if g >= 0:
         raise ValueError("quadric projection expects an interior point (g < 0)")
@@ -90,7 +104,7 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float,
                 break
         return xi_reg + alpha * (v / nv)
     lo, hi = 0.0, t_end
-    for _ in range(iters):
+    while np.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
         if _secular(mid, lam, phi2, g) < 0.0:
             lo = mid
@@ -105,41 +119,23 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolarConfig:
-    """Tunables for the direction-grid search.
-
-    The initial grid has about grid_per_dim^k directions on a slice of complex
-    dimension k (see :func:`sphere_grid`); ``max_grid`` caps it and every
-    refinement stencil.  Refinement rounds shrink the stencil half-width by 3
-    until it falls below ``stop_angle`` radians.  Brackets from the march are
-    narrowed to float resolution, so no iteration count is set.
-    """
-
-    grid_per_dim: int = 64
-    max_grid: int = 16384
-    stop_angle: float = 1e-7
-    march_steps: int = 64
-    chunk: int = 200_000  # max rows (points x n) per membership batch
-
-
-def sphere_grid(k: int, per_dim: int = 64, cap: int = 16384) -> np.ndarray:
+def sphere_grid(k: int) -> np.ndarray:
     """Deterministic direction grid on the unit sphere of C^k, shape (m, k).
 
     k = 1 is a uniform phase circle.  k >= 2 uses a hyperspherical product grid
-    over (k-1) modulus angles and k phases, sized to ~per_dim^k points overall;
+    over (k-1) modulus angles and k phases, sized to ~GRID_PER_DIM^k points;
     the k coordinate directions are prepended so symmetric configurations
     resolve to coordinate solutions deterministically.  The largest parameter
     axis (the first among equals) loses one point at a time until the whole
-    grid fits in ``cap`` rows or every axis is down to 3 points.
+    grid fits in MAX_GRID rows or every axis is down to 3 points.
     """
     if k == 1:
-        th = np.linspace(0.0, 2.0 * np.pi, per_dim, endpoint=False)
+        th = np.linspace(0.0, 2.0 * np.pi, GRID_PER_DIM, endpoint=False)
         dirs = np.exp(1j * th)[:, None]
         return np.vstack([np.eye(1, dtype=np.complex128), dirs])
     params = 2 * k - 1
-    sizes = [max(3, round(min(per_dim ** k, cap) ** (1.0 / params)))] * params
-    while math.prod(sizes) + k > cap and max(sizes) > 3:
+    sizes = [max(3, round(min(GRID_PER_DIM ** k, MAX_GRID) ** (1.0 / params)))] * params
+    while math.prod(sizes) + k > MAX_GRID and max(sizes) > 3:
         sizes[sizes.index(max(sizes))] -= 1
     etas = [(np.arange(g) + 0.5) / g * (np.pi / 2) for g in sizes[:k - 1]]
     phases = [np.arange(g) / g * (2 * np.pi) for g in sizes[k - 1:]]
@@ -168,35 +164,42 @@ def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
     return np.maximum(lo, 0.0), hi, exited
 
 
-def _march_brackets(contains_many, z, A, radii, chunk):
+def _march_brackets(contains_many, z, A, radii):
     """inside matrix for rays z + r*A[i] over increasing radii; A is (m, n).
 
-    Radii go in blocks of as many as fit in ``chunk`` rows (points x n) for
-    all m rays, and the march stops after the first block in which any ray
-    exits.  Columns past it stay True: a ray that first exits beyond that
-    block has lo >= the least hi, so it cannot hold the minimum.
+    A march whose m rays and radii fit in CHUNK rows (points x n) is one
+    membership call.  A larger one takes the radii in blocks of 1, 2, 4, ...
+    up to as many as fit in CHUNK rows for all m rays, and stops after the
+    first block in which any ray exits.  Columns past it stay True: a ray
+    that first exits beyond that block has lo >= the least hi, so it cannot
+    hold the minimum.
     """
     m, n = A.shape
-    width = max(1, chunk // (m * n))  # radii per block
-    rows = max(1, chunk // (width * n))  # rays per membership call
-    inside = np.ones((m, radii.shape[0]), dtype=bool)
-    for c in range(0, radii.shape[0], width):
+    count = radii.shape[0]
+    widest = max(1, CHUNK // (m * n))  # most radii per block
+    width = count if widest >= count else 1
+    inside = np.ones((m, count), dtype=bool)
+    c = 0
+    while c < count:
         cols = slice(c, c + width)
+        rows = max(1, CHUNK // (width * n))  # rays per membership call
         for s in range(0, m, rows):
             block = A[s:s + rows]  # (b, n)
             pts = z[None, None, :] + radii[None, cols, None] * block[:, None, :]
             inside[s:s + rows, cols] = contains_many(pts.reshape(-1, n)).reshape(len(block), -1)
         if not inside[:, cols].all():
             break
+        c += width
+        width = min(2 * width, widest)
     return inside
 
 
 _SPLIT = 16  # sections per bracket and membership call (15 interior radii)
 
 
-def _section_search(contains_many, z, A, lo, hi, chunk):
+def _section_search(contains_many, z, A, lo, hi):
     """First membership flip along the rays z + r*A[i] within brackets
-    (lo, hi] (lo inside, hi outside), to float resolution.
+    (lo, hi] (lo inside, hi outside), down to adjacent floats.
 
     Each call tests the 15 interior radii that cut every live bracket into 16
     equal sections and keeps the section around the first outside sample.  A
@@ -210,7 +213,7 @@ def _section_search(contains_many, z, A, lo, hi, chunk):
     idx = np.arange(m)  # rows still searched; lo, hi and A hold only these
     least = hi.min()
     frac = np.arange(_SPLIT + 1) / _SPLIT
-    rows = max(1, chunk // ((_SPLIT - 1) * n))  # rows per membership call
+    rows = max(1, CHUNK // ((_SPLIT - 1) * n))  # rows per membership call
     while True:
         done = np.nextafter(lo, hi) == hi
         taus[idx[done]] = 0.5 * (lo[done] + hi[done])
@@ -245,7 +248,7 @@ def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
-def _batch_exits(contains_many, z, A, radii, cfg: PolarConfig) -> np.ndarray:
+def _batch_exits(contains_many, z, A, radii) -> np.ndarray:
     """First-exit radii of the rays z + r*A[i]: one march over `radii` for all
     rows, then one section search of the rows that can still hold the minimum.
 
@@ -253,33 +256,30 @@ def _batch_exits(contains_many, z, A, radii, cfg: PolarConfig) -> np.ndarray:
     lo is at or above the smallest hi of an exited row cannot be the argmin;
     it is left at inf, as are rows that never exit.
     """
-    inside = _march_brackets(contains_many, z, A, radii, cfg.chunk)
+    inside = _march_brackets(contains_many, z, A, radii)
     lo, hi, exited = _first_flip(inside, radii)
     taus = np.full(A.shape[0], np.inf)
     if exited.any():
         live = exited & (lo < hi[exited].min())
-        taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live],
-                                     cfg.chunk)
+        taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live])
     return taus
 
 
-def ray_exit(contains_many, z: np.ndarray, a: np.ndarray, reach: float,
-             config: PolarConfig | None = None) -> float:
+def ray_exit(contains_many, z: np.ndarray, a: np.ndarray, reach: float) -> float:
     """First exit radius of the single ray z + r*a, marched from 0 to `reach`
-    and narrowed to float resolution; inf when no march radius is outside."""
-    cfg = config or PolarConfig()
-    radii = np.linspace(reach / cfg.march_steps, reach, cfg.march_steps)
-    return float(_batch_exits(contains_many, z, a[None, :], radii, cfg)[0])
+    and narrowed to adjacent floats; inf when no march radius is outside."""
+    radii = np.linspace(reach / MARCH_STEPS, reach, MARCH_STEPS)
+    return float(_batch_exits(contains_many, z, a[None, :], radii)[0])
 
 
-def _stencil(axes: int, cap: int) -> np.ndarray:
-    """Offsets in [-1, 1]^axes around a direction, at most `cap` rows.
+def _stencil(axes: int) -> np.ndarray:
+    """Offsets in [-1, 1]^axes around a direction, at most MAX_GRID rows.
 
     The tensor grid of 5 offsets per axis, else of 3; when even 3^axes exceeds
-    the cap, the 2*axes points +-e_i (a compass stencil).
+    MAX_GRID, the 2*axes points +-e_i (a compass stencil).
     """
     for m in (5, 3):
-        if m ** axes <= cap:
+        if m ** axes <= MAX_GRID:
             ticks = np.linspace(-1.0, 1.0, m)
             mesh = np.meshgrid(*[ticks] * axes, indexing="ij")
             return np.stack([g.reshape(-1) for g in mesh], axis=1)
@@ -287,23 +287,21 @@ def _stencil(axes: int, cap: int) -> np.ndarray:
     return np.vstack([eye, -eye])
 
 
-def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
-                     config: PolarConfig | None = None):
+def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     """Distance to the boundary within the slice z + span_C(V), by polar search.
 
     Returns (tau, p).  Raises Unbounded when no grid ray exits within `cap`.
     The best ray of the direction grid is refined by stencil rounds: every
     candidate direction of a stencil around the current best one marches and
     is searched in one batch, the search moves only to a strictly shorter
-    exit, and the stencil shrinks by 3 per round down to ``stop_angle``.  The
+    exit, and the stencil shrinks by 3 per round down to STOP_ANGLE.  The
     result is an upper bound on the true distance; its accuracy is empirical
     and callers treat it as the approximate path.
     """
-    cfg = config or PolarConfig()
     n, k = V.shape
-    dirs = sphere_grid(k, cfg.grid_per_dim, cfg.max_grid)
-    radii = np.linspace(cap / cfg.march_steps, cap, cfg.march_steps)
-    taus = _batch_exits(contains_many, z, dirs @ V.T, radii, cfg)
+    dirs = sphere_grid(k)
+    radii = np.linspace(cap / MARCH_STEPS, cap, MARCH_STEPS)
+    taus = _batch_exits(contains_many, z, dirs @ V.T, radii)
     best = int(np.argmin(taus))
     if not math.isfinite(taus[best]):
         raise Unbounded(
@@ -314,15 +312,15 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
 
     # stencil rounds around the best direction; each march starts near 0,
     # since no bracket is assumed for the exit along a nearby ray
-    offsets = _stencil(2 * k - 1, cfg.max_grid)
-    steps = max(cfg.march_steps // 2, 24)
-    delta = {1: 2.0 * np.pi / cfg.grid_per_dim, 2: 0.25, 3: 0.35}.get(k, 0.45)
-    while delta >= cfg.stop_angle:
+    offsets = _stencil(2 * k - 1)
+    steps = max(MARCH_STEPS // 2, 24)
+    delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
+    while delta >= STOP_ANGLE:
         cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         budget = 1.3 * tau
         taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,
-                            np.linspace(budget / steps, budget, steps), cfg)
+                            np.linspace(budget / steps, budget, steps))
         best = int(np.argmin(taus))
         if taus[best] < tau:
             tau = float(taus[best])
@@ -331,7 +329,7 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float,
 
     # final exit along the refined direction, marched from 0 again
     a = join_complex(w_real) @ V.T
-    r = ray_exit(contains_many, z, a, 1.5 * tau, cfg)
+    r = ray_exit(contains_many, z, a, 1.5 * tau)
     if math.isfinite(r):
         tau = r
     p = z + tau * a

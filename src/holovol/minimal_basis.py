@@ -17,12 +17,16 @@ siegel          quadric projection (PSD Hessian + linear term)
 polydisc, l1    closed form on coordinate-aligned slices, polar otherwise
 oracle          polar first-exit search (approximate, flagged)
 ==============  ==============================================================
+
+The quadric projection bisects its secular equation until the bracket ends
+are adjacent floats.  The polar search follows the fixed policy of the
+``geometry`` module constants; nothing here takes a search setting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +47,7 @@ from .errors import (
     SingularBasis,
     Unbounded,
 )
-from .geometry import PolarConfig, nearest_on_quadric, polar_first_exit
+from .geometry import nearest_on_quadric, polar_first_exit
 from .linalg import (
     as_cvector,
     complement_within,
@@ -88,7 +92,7 @@ def _aligned_coordinates(V: np.ndarray) -> list[int] | None:
     return idx if len(set(idx)) == k else None
 
 
-def _halfspace_slice(domain: HalfspaceConvex, z, V, polar) -> SliceDistance:
+def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     beta = domain.offsets - (z @ domain.normals.conj().T).real  # (m,), positive inside
     proj = domain.normals @ np.conj(V)  # rows: (V* a_i)* ... gives |P a_i| via norms
     pn = np.linalg.norm(proj, axis=1)
@@ -106,7 +110,7 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V, polar) -> SliceDistance:
     return SliceDistance(tau, p, "halfspace", EPS_CLOSED, constraint_index=i)
 
 
-def _ball_image_slice(domain: AffineBallImage, z, V, polar) -> SliceDistance:
+def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
     B = domain._inv @ V
     w0 = domain.to_ball(z[None, :])[0]
     g = float(np.sum(np.abs(w0) ** 2)) - 1.0
@@ -120,7 +124,7 @@ def _ball_image_slice(domain: AffineBallImage, z, V, polar) -> SliceDistance:
     return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
 
 
-def _siegel_slice(domain: SiegelHalfSpace, z, V, polar) -> SliceDistance:
+def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
     g = -float(domain.defect(z[None, :])[0])  # negative inside
     B = V[:-1, :]
     vrow = V[-1, :]
@@ -132,10 +136,10 @@ def _siegel_slice(domain: SiegelHalfSpace, z, V, polar) -> SliceDistance:
     return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
 
 
-def _polydisc_slice(domain: Polydisc, z, V, polar) -> SliceDistance:
+def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
     coords = _aligned_coordinates(V)
     if coords is None:
-        return _polar_slice(domain, z, V, polar)
+        return _polar_slice(domain, z, V)
     rel = z - domain.center
     slack = domain.radii[coords] - np.abs(rel[coords])
     i = int(np.argmin(slack))
@@ -145,10 +149,10 @@ def _polydisc_slice(domain: Polydisc, z, V, polar) -> SliceDistance:
     return SliceDistance(float(slack[i]), p, "aligned", EPS_CLOSED)
 
 
-def _l1_slice(domain: L1Ball, z, V, polar) -> SliceDistance:
+def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
     coords = _aligned_coordinates(V)
     if coords is None:
-        return _polar_slice(domain, z, V, polar)
+        return _polar_slice(domain, z, V)
     slack = domain.scale - float(np.sum(np.abs(z)))  # positive inside
     k = len(coords)
     step = slack / k
@@ -158,15 +162,15 @@ def _l1_slice(domain: L1Ball, z, V, polar) -> SliceDistance:
     return SliceDistance(slack / math.sqrt(k), p, "aligned", EPS_CLOSED)
 
 
-def _polar_slice(domain: Domain, z, V, polar: PolarConfig) -> SliceDistance:
+def _polar_slice(domain: Domain, z, V) -> SliceDistance:
     cap = domain.circumscribed_radius(z)
     if not math.isfinite(cap):
         cap = getattr(domain, "search_radius", 1e6)
-    tau, p = polar_first_exit(domain.contains_many, z, V, cap, polar)
+    tau, p = polar_first_exit(domain.contains_many, z, V, cap)
     return SliceDistance(tau, p, "polar", EPS_POLAR)
 
 
-#: Domain.variant -> kernel(domain, z, V, polar); slice_distance has already
+#: Domain.variant -> kernel(domain, z, V); slice_distance has already
 #: checked that z lies inside the domain
 SLICE_KERNELS = {
     "halfspace": _halfspace_slice,
@@ -178,7 +182,7 @@ SLICE_KERNELS = {
 }
 
 
-def slice_distance(domain: Domain, z, V, polar: PolarConfig | None = None) -> SliceDistance:
+def slice_distance(domain: Domain, z, V) -> SliceDistance:
     """Distance from z to the domain boundary within the slice z + span_C(V)."""
     z = as_cvector(z, domain.n)
     V = np.asarray(V, dtype=np.complex128)
@@ -191,7 +195,7 @@ def slice_distance(domain: Domain, z, V, polar: PolarConfig | None = None) -> Sl
     kernel = SLICE_KERNELS.get(domain.variant)
     if kernel is None:
         raise HolovolError(f"no slice-distance backend for {type(domain).__name__}")
-    return kernel(domain, z, V, polar or PolarConfig())
+    return kernel(domain, z, V)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +212,8 @@ class MinimalBasis:
     taus: np.ndarray                 # (n,) nondecreasing distances
     boundary_points: np.ndarray      # (n, n) rows p^j
     directions: np.ndarray           # (n, n) rows d^j, orthonormal
-    slice_bases: list = field(repr=False, default=None)
     methods: list = None
     constraint_indices: list = None
-    ortho_residual: float = 0.0
     tau_rel_err: float = EPS_CLOSED
 
     @property
@@ -223,7 +225,7 @@ class MinimalBasis:
         return "polar" in (self.methods or [])
 
 
-def minimal_basis(domain: Domain, z, polar: PolarConfig | None = None) -> MinimalBasis:
+def minimal_basis(domain: Domain, z) -> MinimalBasis:
     """Run the n-step slice-distance iteration at z.
 
     Raises PointOutsideDomain / PointTooCloseToBoundary / Unbounded (from the
@@ -232,17 +234,15 @@ def minimal_basis(domain: Domain, z, polar: PolarConfig | None = None) -> Minima
     """
     z = as_cvector(z, domain.n)
     n = domain.n
-    polar = polar or PolarConfig()
     V = np.eye(n, dtype=np.complex128)
     taus = np.empty(n)
     points = np.empty((n, n), dtype=np.complex128)
     dirs = np.empty((n, n), dtype=np.complex128)
-    bases, methods, cons = [], [], []
+    methods, cons = [], []
     rel_err = EPS_CLOSED
     for j in range(n):
-        bases.append(V)
         try:
-            r = slice_distance(domain, z, V, polar)
+            r = slice_distance(domain, z, V)
         except Unbounded as exc:
             # a slice with no boundary means the domain contains a complex line
             raise DegenerateDomain(
@@ -276,8 +276,7 @@ def minimal_basis(domain: Domain, z, polar: PolarConfig | None = None) -> Minima
     residual = float(np.max(np.abs(D.conj().T @ D - np.eye(n))))
     if residual > 1e-5:
         raise SingularBasis(f"direction orthogonality residual {residual:.3e} > 1e-5")
-    return MinimalBasis(domain, z, taus, points, dirs, bases, methods, cons,
-                        residual, rel_err)
+    return MinimalBasis(domain, z, taus, points, dirs, methods, cons, rel_err)
 
 
 def distance_product(basis: MinimalBasis) -> float:

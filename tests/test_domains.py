@@ -34,6 +34,7 @@ from holovol.domains import (
 from holovol.errors import (
     ConfigInvalid,
     DegenerateDomain,
+    DimensionMismatch,
     NoOracle,
     PointOutsideDomain,
     UnboundedDomain,
@@ -248,6 +249,15 @@ def test_volume_element_outside_point_raises():
 def test_no_oracle_on_membership_oracle():
     with pytest.raises(NoOracle):
         exact_volume_element(symmetrized_bidisc(), np.zeros(2, dtype=np.complex128))
+
+
+def test_scalar_oracle_predicate_is_dimension_mismatch():
+    # one bool for the whole batch is not read row by row
+    oracle = MembershipOracle(2, predicate=lambda p: bool(np.linalg.norm(p) < 1.0),
+                              declared_class="convex")
+    pts = np.zeros((3, 2), dtype=np.complex128)
+    with pytest.raises(DimensionMismatch, match=r"shape \(\) for 3 points"):
+        oracle.contains_many(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def test_section_search_finds_first_of_two_flips():
     z = np.zeros(2, dtype=np.complex128)
     A = np.array([[1.0 + 0j, 0j]])
     tau = geometry._section_search(contains_many, z, A, np.array([0.0]),
-                                   np.array([1.0]), chunk=200_000)[0]
+                                   np.array([1.0]))[0]
     assert abs(tau - first) <= 2 * np.spacing(first)
 
 
@@ -302,27 +302,31 @@ def test_section_search_finds_first_of_two_flips():
     # a non-aligned l1-ball slice: 65 rays x 2
     (L1Ball(n=2, scale=1.0), np.array([0.1 + 0.05j, -0.2j]),
      np.array([[0.6 + 0j], [0.8j]]), 130),
+    # all 64 radii of the bidisc grid in one membership call
+    (symmetrized_bidisc(), np.array([0.3 - 0.2j, 0.1 + 0.15j]),
+     np.eye(2, dtype=np.complex128), 4098 * 2 * 64),
 ])
-def test_polar_march_is_invariant_to_block_size(domain, z, V, chunk):
+def test_polar_march_is_invariant_to_block_size(domain, z, V, chunk, monkeypatch):
     default = slice_distance(domain, z, V)
-    one_radius = slice_distance(domain, z, V, geometry.PolarConfig(chunk=chunk))
-    assert default.method == one_radius.method == "polar"
-    assert default.tau == one_radius.tau
-    assert np.array_equal(default.p, one_radius.p)
+    monkeypatch.setattr(geometry, "CHUNK", chunk)
+    reblocked = slice_distance(domain, z, V)
+    assert default.method == reblocked.method == "polar"
+    assert default.tau == reblocked.tau
+    assert np.array_equal(default.p, reblocked.p)
 
 
 def test_polar_search_on_four_dimensional_oracle(monkeypatch):
-    # stencils of 5^7 rows would exceed max_grid at k = 4: the capped
+    # stencils of 5^7 rows would exceed MAX_GRID at k = 4: the capped
     # stencil must keep every refinement batch within it, and every
     # initial direction grid (k = 1..4) must fit in it too; every predicate
-    # batch must fit in chunk, though one section-search call over all
+    # batch must fit in CHUNK, though one section-search call over all
     # 12,292 k = 4 grid rays would not
     batches = []
     march = geometry._march_brackets
 
-    def spy(contains_many, z, A, radii, chunk):
+    def spy(contains_many, z, A, radii):
         batches.append(A.shape[0])
-        return march(contains_many, z, A, radii, chunk)
+        return march(contains_many, z, A, radii)
 
     monkeypatch.setattr(geometry, "_march_brackets", spy)
     ball = unit_ball(4)
@@ -338,14 +342,13 @@ def test_polar_search_on_four_dimensional_oracle(monkeypatch):
     polar = minimal_basis(oracle, z)
     exact = minimal_basis(ball, z).taus
     assert np.max(np.abs(polar.taus - exact) / exact) < EPS_POLAR
-    # chunk counts points x n, as the march and the section search do
-    assert max(predicate_rows) <= geometry.PolarConfig().chunk
+    # CHUNK counts points x n, as the march and the section search do
+    assert max(predicate_rows) <= geometry.CHUNK
     grids = {geometry.sphere_grid(k).shape[0] for k in range(1, 5)}
-    max_grid = geometry.PolarConfig().max_grid
-    assert max(grids) <= max_grid
+    assert max(grids) <= geometry.MAX_GRID
     stencils = [m for m in batches if m not in grids]
     assert 3 ** 7 in stencils
-    assert max(stencils) <= max_grid
+    assert max(stencils) <= geometry.MAX_GRID
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,35 @@ def test_slice_distance_returns_tau_and_point():
                        np.eye(2, dtype=np.complex128))
     assert r.tau == pytest.approx(1.0, rel=1e-9)
     assert np.linalg.norm(r.p) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_secular_bisection_stops_at_adjacent_floats(monkeypatch):
+    # the first call tests the end of the bracket [0, t_end]; every later
+    # call is a bisection midpoint, which moves lo (q < 0) or hi (q >= 0)
+    secular = geometry._secular
+    calls = []
+
+    def spy(t, lam, phi2, g):
+        q = secular(t, lam, phi2, g)
+        calls.append((t, q))
+        return q
+
+    monkeypatch.setattr(geometry, "_secular", spy)
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        dom = random_ball_image(rng)
+        z = sample_interior(dom, 1, rng)[0]
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        for V in (np.eye(2, dtype=np.complex128), (v / np.linalg.norm(v))[:, None]):
+            calls.clear()
+            assert slice_distance(dom, z, V).method == "quadric"
+            (t_end, q_end), mids = calls[0], calls[1:]
+            assert q_end > 0.0 and mids
+            assert len(calls) < 110
+            lo = max([0.0] + [t for t, q in mids if q < 0.0])
+            hi = min([t_end] + [t for t, q in mids if q >= 0.0])
+            # one more step would land on lo or hi and move neither end
+            assert np.nextafter(lo, hi) == hi
 
 
 # ---------------------------------------------------------------------------

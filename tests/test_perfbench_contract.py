@@ -4,13 +4,15 @@
 name (``harness.build_A``, ``normalization.linprog``,
 ``normalization.sample_interior`` and more) and fails on entry when one is
 gone, so a refactor that drops such a name fails here and not only in the
-benchmark.
+benchmark.  The geometry kernels are wrapped where ``minimal_basis`` looks
+them up, so a refactor that calls them by another route would zero their
+per-layer figures; the span counts below catch that too.
 """
 
 import importlib.util
 from pathlib import Path
 
-from holovol.domains import domain_to_json, unit_ball
+from holovol.domains import L1Ball, domain_to_json, unit_ball
 from holovol.harness import run_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -27,8 +29,15 @@ def test_tracer_records_a_ball_image_scenario():
     spans = _spans()
     config = {"name": "contract", "domain": domain_to_json(unit_ball(2)),
               "points": {"sampler": {"count": 2, "seed": 3}}}
+    # the second slice at this l1-ball point is not coordinate-aligned, so
+    # it takes the polar search
+    l1 = {"name": "contract-l1", "domain": domain_to_json(L1Ball(n=2, scale=1.0)),
+          "points": {"explicit": [[[0.1, 0.05], [0.0, -0.2]]]}}
     with spans.LatencyRecorder() as latency, spans.Tracer() as tracer:
         run_scenario(config, workers=1)
-    assert len(latency.samples) == 2
-    assert tracer.calls("normalization.build_A") == 2
-    assert tracer.calls("normalization.verify") == 2
+        run_scenario(l1, workers=1)
+    assert len(latency.samples) == 3
+    assert tracer.calls("normalization.build_A") == 3
+    assert tracer.calls("normalization.verify") == 3
+    assert tracer.calls("geometry.nearest_on_quadric") > 0
+    assert tracer.calls("geometry.polar_first_exit") > 0
