@@ -18,9 +18,11 @@ point to the domain boundary within an affine complex slice:
   direction by shrinking stencil rounds (a batched pattern search, Hooke &
   Jeeves 1961).  The rays of a grid or stencil march together up to the first
   block of radii where one exits; each later membership call cuts every live
-  bracket 16-fold down to adjacent floats, and rows that cannot hold the
-  minimum drop out.  It only needs a membership predicate, so it doubles as
-  the independent cross-check for every closed form.
+  bracket 16-fold, and rows that cannot hold the minimum drop out.  A grid or
+  stencil round stops once a single row is left, the proven winner; only the
+  final exit along the refined direction is narrowed to adjacent floats.  It
+  only needs a membership predicate, so it doubles as the independent
+  cross-check for every closed form.
 
 The search policy is fixed by the module constants below; no function takes
 a setting, and neither 1-D search has an iteration count.
@@ -122,8 +124,9 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
 def sphere_grid(k: int) -> np.ndarray:
     """Deterministic direction grid on the unit sphere of C^k, shape (m, k).
 
-    k = 1 is a uniform phase circle.  k >= 2 uses a hyperspherical product grid
-    over (k-1) modulus angles and k phases, sized to ~GRID_PER_DIM^k points;
+    k = 1 is a uniform phase circle starting at e_1.  k >= 2 uses a
+    hyperspherical product grid over (k-1) modulus angles and k phases, sized
+    to ~GRID_PER_DIM^k points;
     the k coordinate directions are prepended so symmetric configurations
     resolve to coordinate solutions deterministically.  The largest parameter
     axis (the first among equals) loses one point at a time until the whole
@@ -131,8 +134,7 @@ def sphere_grid(k: int) -> np.ndarray:
     """
     if k == 1:
         th = np.linspace(0.0, 2.0 * np.pi, GRID_PER_DIM, endpoint=False)
-        dirs = np.exp(1j * th)[:, None]
-        return np.vstack([np.eye(1, dtype=np.complex128), dirs])
+        return np.exp(1j * th)[:, None]
     params = 2 * k - 1
     sizes = [max(3, round(min(GRID_PER_DIM ** k, MAX_GRID) ** (1.0 / params)))] * params
     while math.prod(sizes) + k > MAX_GRID and max(sizes) > 3:
@@ -153,15 +155,16 @@ def sphere_grid(k: int) -> np.ndarray:
 
 
 def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
-    """Per-row bracket of the first sampled outside radius; (lo, hi, exited)."""
+    """Per-row bracket of the first sampled outside radius; (lo, hi, exited).
+
+    lo is the radius sampled before hi (0 before the first), so the radii
+    need not be evenly spaced.
+    """
     outside = ~inside_rows
     exited = outside.any(axis=1)
     first = np.argmax(outside, axis=1)
-    step = radii[1] - radii[0] if radii.shape[0] > 1 else radii[0]
-    hi = radii[first]
-    lo = hi - step
-    lo[first == 0] = 0.0
-    return np.maximum(lo, 0.0), hi, exited
+    below = np.concatenate([[0.0], radii[:-1]])
+    return below[first], radii[first], exited
 
 
 def _march_brackets(contains_many, z, A, radii):
@@ -197,7 +200,7 @@ def _march_brackets(contains_many, z, A, radii):
 _SPLIT = 16  # sections per bracket and membership call (15 interior radii)
 
 
-def _section_search(contains_many, z, A, lo, hi):
+def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
     """First membership flip along the rays z + r*A[i] within brackets
     (lo, hi] (lo inside, hi outside), down to adjacent floats.
 
@@ -207,6 +210,11 @@ def _section_search(contains_many, z, A, lo, hi):
     adjacent floats; until then every call moves an end.  A row whose lo
     exceeds the least hi cannot hold the minimum, nor tie with it: it leaves
     the search and stays at inf.
+
+    With argmin_only, the search stops as soon as a single row is live and
+    none has finished.  That row holds the least hi and every other row's
+    exit lies beyond it, so it is the proven argmin; it gets its hi, an upper
+    bound on its exit, and every other row stays at inf.
     """
     m, n = A.shape
     taus = np.full(m, np.inf)
@@ -214,12 +222,17 @@ def _section_search(contains_many, z, A, lo, hi):
     least = hi.min()
     frac = np.arange(_SPLIT + 1) / _SPLIT
     rows = max(1, CHUNK // ((_SPLIT - 1) * n))  # rows per membership call
+    finished = False
     while True:
         done = np.nextafter(lo, hi) == hi
+        finished = finished or bool(done.any())
         taus[idx[done]] = 0.5 * (lo[done] + hi[done])
         keep = ~done & (lo <= least)
         idx, lo, hi, A = idx[keep], lo[keep], hi[keep], A[keep]
         if not idx.size:
+            return taus
+        if argmin_only and idx.size == 1 and not finished:
+            taus[idx] = hi
             return taus
         r = lo[:, None] + (hi - lo)[:, None] * frac
         r[:, -1] = hi
@@ -248,20 +261,22 @@ def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
-def _batch_exits(contains_many, z, A, radii) -> np.ndarray:
+def _batch_exits(contains_many, z, A, radii, argmin_only=False) -> np.ndarray:
     """First-exit radii of the rays z + r*A[i]: one march over `radii` for all
     rows, then one section search of the rows that can still hold the minimum.
 
     A row's exit radius lies inside its march bracket (lo, hi], so a row whose
     lo is at or above the smallest hi of an exited row cannot be the argmin;
-    it is left at inf, as are rows that never exit.
+    it is left at inf, as are rows that never exit.  argmin_only is passed to
+    the section search: only the proven argmin keeps a finite value.
     """
     inside = _march_brackets(contains_many, z, A, radii)
     lo, hi, exited = _first_flip(inside, radii)
     taus = np.full(A.shape[0], np.inf)
     if exited.any():
         live = exited & (lo < hi[exited].min())
-        taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live])
+        taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live],
+                                     argmin_only)
     return taus
 
 
@@ -276,15 +291,19 @@ def _stencil(axes: int) -> np.ndarray:
     """Offsets in [-1, 1]^axes around a direction, at most MAX_GRID rows.
 
     The tensor grid of 5 offsets per axis, else of 3; when even 3^axes exceeds
-    MAX_GRID, the 2*axes points +-e_i (a compass stencil).
+    MAX_GRID, the zero offset and the 2*axes points +-e_i (a compass stencil).
+    Row 0 is always the zero offset, so the current direction competes in
+    every round and wins exact ties.
     """
     for m in (5, 3):
         if m ** axes <= MAX_GRID:
             ticks = np.linspace(-1.0, 1.0, m)
             mesh = np.meshgrid(*[ticks] * axes, indexing="ij")
-            return np.stack([g.reshape(-1) for g in mesh], axis=1)
+            grid = np.stack([g.reshape(-1) for g in mesh], axis=1)
+            centre = grid.shape[0] // 2  # the all-zero row of an odd grid
+            return np.vstack([grid[centre], grid[:centre], grid[centre + 1:]])
     eye = np.eye(axes)
-    return np.vstack([eye, -eye])
+    return np.vstack([np.zeros(axes), eye, -eye])
 
 
 def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
@@ -292,16 +311,20 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
 
     Returns (tau, p).  Raises Unbounded when no grid ray exits within `cap`.
     The best ray of the direction grid is refined by stencil rounds: every
-    candidate direction of a stencil around the current best one marches and
-    is searched in one batch, the search moves only to a strictly shorter
-    exit, and the stencil shrinks by 3 per round down to STOP_ANGLE.  The
-    result is an upper bound on the true distance; its accuracy is empirical
-    and callers treat it as the approximate path.
+    candidate direction of a stencil around the current best one, the current
+    one included, marches and is searched in one batch; the search moves to
+    the candidate with the least exit, and the stencil shrinks by 3 per round
+    down to STOP_ANGLE.  The grid and each round stop their section search
+    once the winner is proven, so tau is carried between rounds as an upper
+    bound on the winner's exit; only the final exit along the refined
+    direction is narrowed to adjacent floats.  The result is an upper bound
+    on the true distance; its accuracy is empirical and callers treat it as
+    the approximate path.
     """
     n, k = V.shape
     dirs = sphere_grid(k)
     radii = np.linspace(cap / MARCH_STEPS, cap, MARCH_STEPS)
-    taus = _batch_exits(contains_many, z, dirs @ V.T, radii)
+    taus = _batch_exits(contains_many, z, dirs @ V.T, radii, argmin_only=True)
     best = int(np.argmin(taus))
     if not math.isfinite(taus[best]):
         raise Unbounded(
@@ -311,18 +334,24 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     w_real = np.concatenate([dirs[best].real, dirs[best].imag])
 
     # stencil rounds around the best direction; each march starts near 0,
-    # since no bracket is assumed for the exit along a nearby ray
+    # since no bracket is assumed for the exit along a nearby ray.  Below
+    # tau (1 - w) the radii are those of a uniform march to 1.3 tau; 17 radii
+    # then cover the window tau (1 +- w) around the incumbent, whose ray
+    # (offset 0) exits by tau, so nothing beyond the window is marched
     offsets = _stencil(2 * k - 1)
     steps = max(MARCH_STEPS // 2, 24)
     delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
     while delta >= STOP_ANGLE:
         cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        budget = 1.3 * tau
+        w = min(0.3, 4.0 * delta)
+        coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
+        radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
+                                np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
         taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,
-                            np.linspace(budget / steps, budget, steps))
-        best = int(np.argmin(taus))
-        if taus[best] < tau:
+                            radii, argmin_only=True)
+        best = int(np.argmin(taus))  # exact ties go to the incumbent, row 0
+        if math.isfinite(taus[best]):
             tau = float(taus[best])
             w_real = cand[best]
         delta /= 3.0
