@@ -77,35 +77,6 @@ class ExactOracle:
     jacobian_det: Callable[[np.ndarray], np.ndarray]
 
 
-def validate_oracle(oracle: ExactOracle, *, points: int = 100, seed: int = 0,
-                    rel_tol: float = 1e-6) -> float:
-    """Check jacobian_det against central finite differences at random ball points.
-
-    Returns the maximum relative deviation; raises ConfigInvalid beyond rel_tol.
-    Holomorphy means the complex derivative equals the directional derivative
-    along the real axis, so a real-step central difference per coordinate gives
-    the full complex Jacobian.
-    """
-    rng = np.random.default_rng(seed)
-    w = uniform_ball(oracle.n, points, rng) * 0.8  # stay away from the sphere
-    h = 1e-6
-    worst = 0.0
-    for i in range(points):
-        J = np.empty((oracle.n, oracle.n), dtype=np.complex128)
-        for j in range(oracle.n):
-            e = np.zeros(oracle.n, dtype=np.complex128)
-            e[j] = h
-            J[:, j] = (oracle.forward(w[i] + e) - oracle.forward(w[i] - e)) / (2 * h)
-        det_fd = np.linalg.det(J)
-        det_an = oracle.jacobian_det(w[i][None, :])[0]
-        rel = abs(det_fd - det_an) / max(abs(det_an), 1e-300)
-        worst = max(worst, rel)
-    if worst > rel_tol:
-        raise ConfigInvalid(
-            f"oracle jacobian_det disagrees with finite differences (rel {worst:.3e})")
-    return worst
-
-
 def cayley(w: np.ndarray) -> np.ndarray:
     """Biholomorphism from the unit ball onto {Im z_n > |z'|^2}.
 
@@ -224,8 +195,8 @@ class Domain:
     @property
     def supports_normals(self) -> bool:
         """Supporting hyperplanes are certified on convex domains and verified
-        on interior samples of the whole domain: drawn from a bounded body, or
-        pushed through a ball biholomorphism."""
+        on the whole domain: by its support function, on samples of a bounded
+        body, or on samples pushed through a ball biholomorphism."""
         return self.convexity_class == CONVEX and (
             self.bounded or self.exact_oracle is not None)
 
@@ -243,6 +214,14 @@ class Domain:
     def outward_normal(self, p: np.ndarray, constraint_index: int | None = None):
         raise UnsupportedBackend(
             f"no supporting-normal backend for {type(self).__name__}")
+
+    def disc_radii(self, z: np.ndarray, U: np.ndarray) -> np.ndarray | None:
+        """Per row u of U, the largest s with z + zeta u in D for |zeta| < s."""
+        return None  # no closed form: verify_normalization samples
+
+    def support(self, G: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+        """Per row g of G, sup over D of Re g.(x - z) (Rockafellar 1970)."""
+        return None  # no closed form in use: verify_normalization samples
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "n": self.n, "class": self.convexity_class}
@@ -385,6 +364,12 @@ class HalfspaceConvex(Domain):
             raise NotSupporting("missing active constraint index")
         return self.normals[constraint_index].astype(np.complex128)
 
+    def disc_radii(self, z, U):
+        """Constraint i allows s |<u, a_i>| <= b_i - Re <z, a_i>."""
+        room = self.offsets - (self.normals.conj() @ z).real
+        with np.errstate(divide="ignore"):
+            return np.min(room / np.abs(U @ self.normals.conj().T), axis=1)
+
     def to_json(self) -> dict:
         return {**super().to_json(),
                 "constraints": [{"a": _vec2j(a), "b": float(b)}
@@ -455,6 +440,17 @@ class AffineBallImage(Domain):
         M = self.matrix
         return np.linalg.inv(M @ M.conj().T) @ (p - self.center)
 
+    def disc_radii(self, z, U):
+        """|w0 + zeta v|^2 <= |w0|^2 + s^2 |v|^2 + 2 s |<v, w0>| for |zeta| <= s,
+        with equality at one phase, where w0 = M^-1 (z - c) and v = M^-1 u."""
+        w0, V = self.to_ball(z), U @ self._inv.T
+        room = 1.0 - np.vdot(w0, w0).real
+        a, b = np.sum(np.abs(V) ** 2, axis=1), np.abs(V @ np.conj(w0))
+        return room / (b + np.sqrt(b * b + a * room))
+
+    def support(self, G, z):
+        return (G @ (self.center - z)).real + np.linalg.norm(G @ self.matrix, axis=1)
+
     def to_json(self) -> dict:
         return {**super().to_json(), "matrix": [_vec2j(row) for row in self.matrix],
                 "center": _vec2j(self.center)}
@@ -503,6 +499,14 @@ class Polydisc(Domain):
         nu = np.zeros(self.n, dtype=np.complex128)
         nu[k] = phase(rel[k])
         return nu
+
+    def disc_radii(self, z, U):
+        """Coordinate k allows |z_k - c_k| + s |u_k| <= r_k."""
+        with np.errstate(divide="ignore"):
+            return np.min((self.radii - np.abs(z - self.center)) / np.abs(U), axis=1)
+
+    def support(self, G, z):
+        return (G @ (self.center - z)).real + np.abs(G) @ self.radii
 
     def to_json(self) -> dict:
         return {**super().to_json(), "center": _vec2j(self.center),
@@ -586,6 +590,14 @@ class SiegelHalfSpace(Domain):
         nu[:-1] = p[:-1]
         nu[-1] = -0.5j
         return nu
+
+    def disc_radii(self, z, U):
+        """The defect at z + zeta u is delta + Re(zeta g) - |zeta u'|^2 with
+        g = -i u_n - 2 <u', z'>; its least value on |zeta| = s is delta - s|g| - s^2|u'|^2."""
+        delta = self.defect(z[None, :])[0]
+        q = np.sum(np.abs(U[:, :-1]) ** 2, axis=1)
+        g = np.abs(-1j * U[:, -1] - 2.0 * (U[:, :-1] @ np.conj(z[:-1])))
+        return 2.0 * delta / (g + np.sqrt(g * g + 4.0 * delta * q))
 
 
 @dataclass

@@ -320,7 +320,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
                        triangularity_residual=norm.triangularity_residual,
                        **margins)
             elif name == "lemma_inclusion":
-                record(name, normalized()[1]["lemma_margin"])
+                record(name, normalized()[1]["lemma_margin"], mode=normalized()[1]["lemma_mode"])
             elif name == "bergman_sandwich":
                 K = kernel()
                 slack = compound_slack(basis.tau_rel_err, n, base_slack)

@@ -88,14 +88,6 @@ def complement_within(V: np.ndarray, d: np.ndarray) -> np.ndarray:
     return V @ H.conj().T[:, 1:]
 
 
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity so the distribution does not depend on QR details.
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def uniform_ball(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples from the open unit ball of C^n (= R^{2n}), shape (count, n)."""
     g = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))

@@ -163,7 +163,7 @@ def build_A(domain: Domain, basis: MinimalBasis) -> Normalization:
 
 
 # ---------------------------------------------------------------------------
-# sampled inclusion checks
+# inclusion checks
 # ---------------------------------------------------------------------------
 
 
@@ -197,51 +197,87 @@ def beta_excess(A: np.ndarray) -> float:
     return float(worst) if n > 1 else 0.0
 
 
+def lemma_bound(A: np.ndarray, r: float) -> float | None:
+    """1 - max ||A^{-1} w||_1 over |w| = r where provable, else None.  With rows
+    b_j of A^{-1} the max is r max_s ||sum_j s_j b_j|| over phases s: exactly
+    r (|b_1|^2 + |b_2|^2 + 2|<b_1, b_2>|)^(1/2) at n = 2; at n >= 3 its upper
+    bound r sum_j |b_j| gives a lower bound on the margin, kept when >= 0."""
+    B = np.linalg.inv(A)
+    norms = np.linalg.norm(B, axis=1)
+    if B.shape[0] == 2:
+        return 1.0 - r * math.sqrt(norms @ norms + 2.0 * abs(np.vdot(B[1], B[0])))
+    margin = 1.0 - r * float(norms.sum())
+    return margin if margin >= 0 else None
+
+
 def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalization,
                          *, samples: int = 512, seed: int = 0,
                          tol: float = 1e-6) -> dict:
-    """Sampled verification of the three inclusions behind the bounds.
+    """The three inclusions behind the bounds, each in closed form (mode
+    ``exact``) where one exists and on `samples` random points (``sampled``).
 
-    (i)   E_n subset T(D - z): pull E_n samples back through T^{-1}.
-    (ii)  (1/c_n) B^n subset A(E_n): l1 norm of A^{-1} w on a near-extremal sphere.
-    (iii) A(T(D - z)) subset {Re W_j < 1}: push interior samples forward;
-          this is the one sampled test that the normals behind A support D.
+    (i)   E_n subset T(D - z), E_n the hull of the unit discs of the axes: for
+          convex D it holds iff each disc z + zeta T^{-1} e_j (|zeta| < 1) lies
+          in D, margin rho - 1 with rho the least ``domain.disc_radii``; else
+          E_n samples pulled back through T^{-1}, margin 1 - max ||w||_1.
+    (ii)  (1/c_n) B^n subset A(E_n): :func:`lemma_bound`, else A^{-1} on a
+          sampled near-extremal sphere.
+    (iii) A(T(D - z)) subset {Re W_j < 1}, which tests the normals behind A:
+          margin 1 - max_j ``domain.support`` of the rows of A T, else interior
+          samples pushed forward.  Polytopes and l1 balls stay sampled because
+          :func:`supporting_normal` may tilt their normals by up to SUPPORT_TOL,
+          which an exact test shows (margins to -1.1e-6 on random polytopes);
+          the Siegel support function is finite only where Re g_n = 0 exactly.
 
-    Returns the minimal margin of each; raises InclusionViolated with a witness
-    when a margin dips below -tol.
+    Raises InclusionViolated with a witness when a margin dips below -tol.
     """
     rng = np.random.default_rng(seed)
     n, z = basis.n, basis.base_point
+    T_inv = np.linalg.inv(norm.T)
+    out = {}
 
-    w = sample_en(n, samples, rng)
-    X = z[None, :] + w @ np.linalg.inv(norm.T).T
-    inside = domain.contains_many(X)
-    if not inside.all():
-        bad = int(np.argmin(inside))
-        raise InclusionViolated("an E_n sample left the domain after T^{-1}",
-                                witness={"w": w[bad], "point": X[bad]})
-    en_margin = float(np.min(1.0 - np.sum(np.abs(w), axis=1)))
+    def settle(part, margin, mode, message, witness=None):
+        out[f"{part}_margin"], out[f"{part}_mode"] = float(margin), mode
+        if margin < -tol:
+            raise InclusionViolated(message, witness=witness, margin=float(margin))
 
-    g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    sphere = dirs * ((1.0 - 1e-6) / c_n(n))
-    lm = lemma_margins(norm.A, sphere)
-    if lm.min() < -tol:
-        bad = int(np.argmin(lm))
-        raise InclusionViolated("ball point left A(E_n)",
-                                witness={"w": sphere[bad]}, margin=float(lm.min()))
+    if (rho := domain.disc_radii(z, T_inv.T)) is not None:
+        j = int(np.argmin(rho))
+        settle("en", rho[j] - 1.0, "exact", f"the disc along T^-1 e_{j + 1} left the domain",
+               {"disc": j})
+    else:
+        w = sample_en(n, samples, rng)
+        X = z[None, :] + w @ T_inv.T
+        inside = domain.contains_many(X)
+        if not inside.all():
+            bad = int(np.argmin(inside))
+            raise InclusionViolated("an E_n sample left the domain after T^{-1}",
+                                    witness={"w": w[bad], "point": X[bad]})
+        out.update(en_margin=float(np.min(1.0 - np.sum(np.abs(w), axis=1))),
+                   en_mode="sampled")
 
-    # unbounded bodies get a local window around z: the support inequalities
-    # are testable on any subset of D
-    box = None if domain.bounded else polydisc_box(z, 4.0 * float(basis.taus[-1]))
+    r = (1.0 - 1e-6) / c_n(n)
+    if (lm := lemma_bound(norm.A, r)) is not None:
+        settle("lemma", lm, "exact", "the ball of radius 1/c_n left A(E_n)")
+    else:
+        g = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+        sphere = g / np.linalg.norm(g, axis=1, keepdims=True) * r
+        lms = lemma_margins(norm.A, sphere)
+        bad = int(np.argmin(lms))
+        settle("lemma", lms[bad], "sampled", "ball point left A(E_n)", {"w": sphere[bad]})
+
+    if (h := domain.support(norm.A @ norm.T, z)) is not None:
+        j = int(np.argmax(h))
+        settle("halfspace", 1.0 - h[j], "exact",
+               f"the domain crossed normalized halfspace {j + 1}", {"halfspace": j})
+        return out
+    # only rejection samplers of unbounded bodies take a window around z (the
+    # inequalities hold on any subset of D); Siegel samples all of D by Cayley
+    window = not domain.bounded and domain.exact_oracle is None
+    box = polydisc_box(z, 4.0 * float(basis.taus[-1])) if window else None
     Y = sample_interior(domain, samples, rng, box=box)
-    Wp = norm.map_points(basis, Y)
-    hp = 1.0 - Wp.real
-    hs_margin = float(hp.min())
-    if hs_margin < -tol:
-        bad = int(np.argmin(hp.min(axis=1)))
-        raise InclusionViolated("domain sample crossed a normalized halfspace",
-                                witness={"point": Y[bad]}, margin=hs_margin)
-
-    return {"en_margin": en_margin, "lemma_margin": float(lm.min()),
-            "halfspace_margin": hs_margin}
+    hp = np.min(1.0 - norm.map_points(basis, Y).real, axis=1)
+    bad = int(np.argmin(hp))
+    settle("halfspace", hp[bad], "sampled", "domain sample crossed a normalized halfspace",
+           {"point": Y[bad]})
+    return out

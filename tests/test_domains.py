@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from helpers import random_unitary, validate_oracle
 from test_acceptance import random_simplex_containing_zero
 from test_harness import STRIP
 from test_normalization import random_bounded_halfspace
@@ -29,7 +30,6 @@ from holovol.domains import (
     sample_interior,
     symmetrized_bidisc,
     unit_ball,
-    validate_oracle,
 )
 from holovol.errors import (
     ConfigInvalid,
@@ -39,7 +39,7 @@ from holovol.errors import (
     PointOutsideDomain,
     UnboundedDomain,
 )
-from holovol.linalg import random_unitary, uniform_ball
+from holovol.linalg import uniform_ball
 
 
 def square_domain():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_unitary
 
 from holovol.domains import (
     AffineBallImage,
@@ -21,7 +22,7 @@ from holovol.errors import (
     PointTooCloseToBoundary,
 )
 from holovol import geometry
-from holovol.linalg import random_unitary, uniform_ball
+from holovol.linalg import uniform_ball
 from holovol.minimal_basis import (
     EPS_POLAR,
     distance_product,

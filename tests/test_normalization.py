@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from holovol.domains import (
     HalfspaceConvex,
     MembershipOracle,
     Polydisc,
+    SiegelHalfSpace,
     sample_interior,
     symmetrized_bidisc,
     unit_ball,
@@ -20,6 +23,7 @@ from holovol.normalization import (
     build_A,
     build_T,
     c_n,
+    lemma_bound,
     lemma_margins,
     random_admissible_A,
     sample_en,
@@ -156,7 +160,7 @@ def test_oracle_normals_match_closed_form_on_ball_images(seed, n):
 
 def test_tilted_normal_fails_the_halfspace_check(monkeypatch):
     # nu_1 = d^1 + 0.5 d^0 is not a supporting normal of the ball at its frame
-    # point: the sampled check (iii) of verify_normalization must catch it
+    # point: check (iii) of verify_normalization must catch it
     B = unit_ball(2)
     basis = minimal_basis(B, np.zeros(2, dtype=np.complex128))
     d = basis.directions
@@ -166,6 +170,89 @@ def test_tilted_normal_fails_the_halfspace_check(monkeypatch):
     with pytest.raises(InclusionViolated, match="normalized halfspace") as exc:
         verify_normalization(B, basis, norm, samples=2000, seed=1)
     assert exc.value.margin < -0.05
+
+
+def _ball_or_polydisc(kind, n, rng):
+    center = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "polydisc":
+        return Polydisc(n, center=center, radii=rng.uniform(0.5, 2.0, n))
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 2 * np.eye(n)
+    return AffineBallImage(n, matrix=M, center=center)
+
+
+@pytest.mark.parametrize("kind", ["ball_image", "polydisc"])
+def test_exact_support_check_catches_every_small_tilt(kind):
+    # tilting the second normal by 0.01 in normalized coordinates (A's
+    # subdiagonal entry) leaves a halfspace that cuts either body; 2,000
+    # interior samples miss most such tilts, the support function none
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        dom = _ball_or_polydisc(kind, 2, rng)
+        basis = minimal_basis(dom, sample_interior(dom, 1, rng)[0])
+        norm = build_A(dom, basis)
+        norm.A[1, 0] += 0.01 * np.exp(2j * np.pi * rng.random())
+        with pytest.raises(InclusionViolated, match="normalized halfspace"):
+            verify_normalization(dom, basis, norm, samples=2000, seed=seed)
+
+
+def _without_closed_forms(dom):
+    """The same domain with verify_normalization forced onto its samplers."""
+    dom = copy.copy(dom)
+    dom.disc_radii = dom.support = lambda *args: None
+    return dom
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["ball_image", "polydisc", "siegel", "polytope"])
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_margins_never_exceed_sampled_ones(seed, kind, n):
+    rng = np.random.default_rng(seed)
+    if kind == "siegel":
+        dom = SiegelHalfSpace(n)
+        z = np.zeros(n, dtype=np.complex128)
+        z[:-1] = 0.5 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+        z[-1] = rng.normal() + 1j * (np.sum(np.abs(z[:-1]) ** 2) + rng.uniform(0.1, 2.0))
+    else:
+        if kind == "polytope":
+            a = rng.normal(size=(3 * n, n)) + 1j * rng.normal(size=(3 * n, n))
+            dom = HalfspaceConvex(n, normals=np.vstack([a, -a]),
+                                  offsets=rng.uniform(0.5, 2.0, 6 * n))
+        else:
+            dom = _ball_or_polydisc(kind, n, rng)
+        z = sample_interior(dom, 1, rng)[0]
+    basis = minimal_basis(dom, z)
+    norm = build_A(dom, basis)
+    exact = verify_normalization(dom, basis, norm, samples=1000, seed=seed)
+    sampled = verify_normalization(_without_closed_forms(dom), basis, norm,
+                                   samples=1000, seed=seed)
+    assert exact["en_mode"] == exact["lemma_mode"] == "exact"
+    assert sampled["en_mode"] == "sampled"
+    # E_n touches the boundary at the frame points, so rho = 1 up to rounding
+    assert abs(exact["en_margin"]) < 1e-9
+    parts = ["en", "lemma"]
+    if kind in ("ball_image", "polydisc"):
+        # so do the supporting hyperplanes
+        assert exact["halfspace_mode"] == "exact" and abs(exact["halfspace_margin"]) < 1e-9
+        parts.append("halfspace")
+    for part in parts:
+        assert exact[f"{part}_margin"] <= sampled[f"{part}_margin"] + 1e-12
+
+
+def test_lemma_bound_matches_a_phase_brute_force():
+    # at n = 2 the max of ||A^{-1} w||_1 over |w| = r is reached at
+    # w = r conj(v)/|v| with v = b_1 + s b_2 for one phase s; an alpha whose
+    # phase lies on the 4,096-point grid puts that s on the grid
+    rng = np.random.default_rng(107)
+    r = (1.0 - 1e-6) / c_n(2)
+    phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for _ in range(50):
+        alpha = rng.random() * phases[rng.integers(4096)]
+        A = np.array([[1.0, 0.0], [alpha, 1.0]], dtype=np.complex128)
+        B = np.linalg.inv(A)
+        V = B[0][None, :] + phases[:, None] * B[1][None, :]
+        W = r * np.conj(V) / np.linalg.norm(V, axis=1, keepdims=True)
+        assert lemma_bound(A, r) == pytest.approx(lemma_margins(A, W).min(), abs=1e-12)
 
 
 def test_c_convex_oracle_normals_unsupported():
@@ -278,8 +365,11 @@ def test_verify_normalization_frozen_lemma_margin():
     basis = minimal_basis(E, np.zeros(2, dtype=np.complex128))
     norm = build_A(E, basis)
     res = verify_normalization(E, basis, norm, samples=4000, seed=5)
-    # A = I: documented worst-case margin 1 - sqrt(2)/sqrt(5) over the sphere
-    assert res["lemma_margin"] == pytest.approx(0.3675445573, abs=2e-3)
+    # A = I: the worst point of the sphere of radius (1 - 1e-6)/c_2 has l1
+    # norm (1 - 1e-6) sqrt(2/5)
+    assert res["lemma_mode"] == "exact"
+    assert res["lemma_margin"] == pytest.approx(1.0 - (1.0 - 1e-6) * np.sqrt(2.0 / 5.0),
+                                                abs=1e-6)
 
 
 def test_square_halfspace_image_stays_left_of_one():

@@ -35,7 +35,11 @@ def test_tracer_records_a_ball_image_scenario():
           "points": {"explicit": [[[0.1, 0.05], [0.0, -0.2]]]}}
     with spans.LatencyRecorder() as latency, spans.Tracer() as tracer:
         run_scenario(config, workers=1)
+        ball_rows = tracer.counts["sample_rows_returned"]
         run_scenario(l1, workers=1)
+    # the unit ball's three inclusions are checked in closed form: the only
+    # interior rows drawn are the scenario's two sampled points
+    assert ball_rows == 2
     assert len(latency.samples) == 3
     assert tracer.calls("normalization.build_A") == 3
     assert tracer.calls("normalization.verify") == 3
