@@ -44,10 +44,6 @@ class BergmanValue:
     truncation_error: float  # bound on the omitted tail (0 for closed forms)
     method: str              # closed_form | reinhardt_quadrature | transformed
 
-    def interval(self) -> Interval:
-        return Interval(max(0.0, self.value - self.truncation_error),
-                        self.value + self.truncation_error)
-
 
 # ---------------------------------------------------------------------------
 # monomial moments c_alpha = || z^alpha ||^2 on complete Reinhardt domains

@@ -31,11 +31,10 @@ from .errors import (
     DegenerateDomain,
     DimensionMismatch,
     HolovolError,
-    NoOracle,
     NotSupporting,
     PointOutsideDomain,
     UnboundedDomain,
-    UnsupportedBackend,
+    UnsupportedDomain,
 )
 from .linalg import as_cvector, phase, sample_en, uniform_ball
 
@@ -212,7 +211,7 @@ class Domain:
         return _rejection_sample(self, count, rng, box)
 
     def outward_normal(self, p: np.ndarray, constraint_index: int | None = None):
-        raise UnsupportedBackend(
+        raise UnsupportedDomain(
             f"no supporting-normal backend for {type(self).__name__}")
 
     def disc_radii(self, z: np.ndarray, U: np.ndarray) -> np.ndarray | None:
@@ -612,7 +611,6 @@ class MembershipOracle(Domain):
 
     predicate: Callable = None
     declared_class: str = C_CONVEX
-    search_radius: float = 1e6
     predicate_name: str | None = None
     enclosing_polydisc: tuple | None = None
 
@@ -622,8 +620,6 @@ class MembershipOracle(Domain):
         super().__post_init__()
         if self.declared_class not in (CONVEX, C_CONVEX):
             raise ConfigInvalid(f"unknown convexity class {self.declared_class!r}")
-        if not 0 < self.search_radius < math.inf:
-            raise ConfigInvalid("oracle needs a finite search_radius > 0")
         self.convexity_class = self.declared_class
         if self.enclosing_polydisc is not None:
             c, r = self.enclosing_polydisc
@@ -656,12 +652,11 @@ class MembershipOracle(Domain):
     def to_json(self) -> dict:
         if self.predicate_name is None:
             raise ConfigInvalid("only named oracle predicates are serializable")
-        return {**super().to_json(), "predicate": self.predicate_name,
-                "search_radius": self.search_radius}
+        return {**super().to_json(), "predicate": self.predicate_name}
 
     @classmethod
     def from_json(cls, n, data):
-        unknown = sorted(set(data) - {"variant", "n", "class", "predicate", "search_radius"})
+        unknown = sorted(set(data) - {"variant", "n", "class", "predicate"})
         if unknown:
             raise ConfigInvalid(f"unknown oracle keys: {unknown}")
         name = data["predicate"]
@@ -672,7 +667,6 @@ class MembershipOracle(Domain):
             raise ConfigInvalid(f"predicate {name!r} is defined for n={meta['n']}")
         return cls(n, predicate=meta["predicate"],
                    declared_class=data.get("class", meta["class"]),
-                   search_radius=float(data.get("search_radius", 1e6)),
                    predicate_name=name,
                    enclosing_polydisc=meta.get("enclosing_polydisc"))
 
@@ -712,12 +706,12 @@ def exact_volume_element(domain: Domain, z) -> float:
     """Exact volume element via the domain's ball oracle.
 
     v(z) = |det F'(w)|^-2 (1 - |w|^2)^-(n+1) at w = F^-1(z); values above
-    1e300 are reported as +inf.  Raises NoOracle when no oracle is available
-    and PointOutsideDomain when z is not inside.
+    1e300 are reported as +inf.  Raises UnsupportedDomain when no oracle is
+    available and PointOutsideDomain when z is not inside.
     """
     oracle = domain.exact_oracle
     if oracle is None:
-        raise NoOracle(f"{domain.variant} domain has no exact volume oracle")
+        raise UnsupportedDomain(f"{domain.variant} domain has no exact volume oracle")
     zz = as_cvector(z, domain.n)
     if not contains(domain, zz):
         raise PointOutsideDomain("volume element requested outside the domain")
@@ -769,10 +763,9 @@ ORACLE_PREDICATES: dict[str, dict] = {
 }
 
 
-def symmetrized_bidisc(search_radius: float = 8.0) -> MembershipOracle:
+def symmetrized_bidisc() -> MembershipOracle:
     """The symmetrized bidisc as a named membership oracle (C-convex, not convex)."""
-    return MembershipOracle.from_json(2, {"predicate": "symmetrized_bidisc",
-                                          "search_radius": search_radius})
+    return MembershipOracle.from_json(2, {"predicate": "symmetrized_bidisc"})
 
 
 def domain_to_json(domain: Domain) -> dict:

@@ -26,10 +26,6 @@ class BadDimension(HolovolError):
     """Dimension outside the supported range (n >= 2, or n >= 1 where noted)."""
 
 
-class NoOracle(HolovolError):
-    """Exact volume element requested on a domain without an exact oracle."""
-
-
 class PointOutsideDomain(HolovolError):
     """Query point is not strictly inside the domain."""
 
@@ -54,11 +50,10 @@ class UnboundedDomain(HolovolError):
 
 
 class UnsupportedDomain(HolovolError):
-    """Operation not available for this domain variant."""
-
-
-class UnsupportedBackend(HolovolError):
-    """Construction not defined for this backend (e.g. normals on a C-convex oracle)."""
+    """Operation not available for this domain: no exact volume oracle, no
+    closed-form or moment Bergman kernel, or no supporting normals (a C-convex
+    oracle, or a backend without a normal).  The harness records a check that
+    raises it as skipped, not failed."""
 
 
 class SingularBasis(HolovolError):
@@ -66,7 +61,8 @@ class SingularBasis(HolovolError):
 
 
 class NotSupporting(HolovolError):
-    """Candidate hyperplane fails the sampled support test."""
+    """``supporting_normal`` has no usable normal at a frame point, e.g. one
+    with mass outside span(d^1..d^j), or one that is zero."""
 
 
 class TriangularityViolated(HolovolError):
@@ -74,7 +70,8 @@ class TriangularityViolated(HolovolError):
 
 
 class InclusionViolated(HolovolError):
-    """A sampled inclusion check found a point on the wrong side."""
+    """An inclusion check of ``verify_normalization``, exact or sampled, found
+    its margin below tolerance; the witness locates the offending point."""
 
 
 class TailDiverges(HolovolError):

@@ -11,7 +11,7 @@ A scenario is a JSON document:
                      "box": {"center": [[0,0],[0,0]], "radii": [1, 1]} }
       },
       "checks": ["theorem_ge", "monotonicity"],        // default: all applicable
-      "tolerances": { "base_slack": 1e-9, ... }
+      "tolerances": { "check_tol": 1e-9 }              // the only tolerance
     }
 
 Every check produces a margin; negative margin = violation.  Violations and
@@ -52,7 +52,6 @@ from .errors import (
     DomainRejected,
     HolovolError,
     IoFailure,
-    NoOracle,
     TailDiverges,
     UnboundedDomain,
     UnsupportedDomain,
@@ -80,12 +79,7 @@ ALL_CHECKS = (
     "ratio",
 )
 
-DEFAULT_TOLERANCES = {
-    "base_slack": 1e-9,
-    "verify_samples": 2000,
-    "max_degree": 40,
-    "check_tol": 1e-9,
-}
+DEFAULT_TOLERANCES = {"check_tol": 1e-9}
 
 
 @dataclass
@@ -236,17 +230,16 @@ def _once(compute):
     return get
 
 
-def _kernel_value(domain: Domain, z, max_degree: int) -> bg.BergmanValue:
+def _kernel_value(domain: Domain, z) -> bg.BergmanValue:
     try:
         return bg.bergman_closed(domain, z)
     except UnsupportedDomain:
-        return bg.bergman_reinhardt(domain, z, max_degree)
+        return bg.bergman_reinhardt(domain, z)
 
 
 def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dict:
     """Full pipeline at one point; HolovolErrors become the 'error' field."""
     rec = {"z": _jsonable(z), "abs_z": float(np.linalg.norm(z))}
-    base_slack = float(tol["base_slack"])
     check_tol = float(tol["check_tol"])
     try:
         basis = minimal_basis(domain, z)
@@ -258,15 +251,14 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
     cls = domain.convexity_class
     rec.update(taus=[float(t) for t in basis.taus], p_D=pD,
                approximate=basis.approximate, methods=list(basis.methods))
-    cert = certified_interval(cls, n, pD, tau_rel_err=basis.tau_rel_err,
-                              base_slack=base_slack)
+    cert = certified_interval(cls, n, pD, tau_rel_err=basis.tau_rel_err)
     R = circumscribed_radius(domain, z)
-    mono = monotonicity_bounds(basis, R, base_slack=base_slack)
+    mono = monotonicity_bounds(basis, R)
     rec["intervals"] = {"certified": list(cert.as_pair()),
                         "monotonicity": list(mono.as_pair())}
     try:
         v = exact_volume_element(domain, z)
-    except NoOracle:
+    except UnsupportedDomain:
         v = None
     rec["oracle_v"] = v
     rec["v_pd_sq"] = (v * pD * pD) if v is not None else None
@@ -275,11 +267,10 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
     @_once
     def normalized():
         norm = build_A(domain, basis)
-        margins = verify_normalization(domain, basis, norm,
-                                       samples=int(tol["verify_samples"]), seed=seed + 1)
+        margins = verify_normalization(domain, basis, norm, seed=seed + 1)
         return norm, margins
 
-    kernel = _once(lambda: _kernel_value(domain, z, int(tol["max_degree"])))
+    kernel = _once(lambda: _kernel_value(domain, z))
     results = {}
 
     def record(name, margin, *, mode=None, **extra):
@@ -323,7 +314,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
                 record(name, normalized()[1]["lemma_margin"], mode=normalized()[1]["lemma_mode"])
             elif name == "bergman_sandwich":
                 K = kernel()
-                slack = compound_slack(basis.tau_rel_err, n, base_slack)
+                slack = compound_slack(basis.tau_rel_err, n)
                 res = bg.kernel_sandwich_check(cls, n, K, pD, slack=slack)
                 record(name, min(res["lower_margin"], res["upper_margin"]),
                        K=K.value, K_truncation=K.truncation_error,

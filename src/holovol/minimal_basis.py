@@ -62,6 +62,9 @@ EPS_CLOSED = 1e-9
 #: empirical relative accuracy of the polar-search backend
 EPS_POLAR = 1e-4
 
+#: polar search cap for oracles without an enclosing polydisc
+SEARCH_RADIUS = 1e6
+
 #: below this first distance the point is treated as effectively on the boundary
 TAU_MIN = 1e-10
 
@@ -71,7 +74,6 @@ class SliceDistance:
     tau: float
     p: np.ndarray
     method: str            # "halfspace" | "quadric" | "aligned" | "polar"
-    rel_err: float
     constraint_index: int | None = None
 
 
@@ -107,7 +109,7 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     # nearest point: z + beta * P a_i / |P a_i|^2
     Pa = V @ (V.conj().T @ domain.normals[i])
     p = z + beta[i] * Pa / (pn[i] ** 2)
-    return SliceDistance(tau, p, "halfspace", EPS_CLOSED, constraint_index=i)
+    return SliceDistance(tau, p, "halfspace", constraint_index=i)
 
 
 def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
@@ -121,7 +123,7 @@ def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
     Hr, phi, gr = real_form(H, w_lin, g)
     xi = nearest_on_quadric(Hr, phi, gr)
     c = join_complex(xi)
-    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
+    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric")
 
 
 def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
@@ -133,7 +135,7 @@ def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
     Hr, phi, gr = real_form(H, w_lin, g)
     xi = nearest_on_quadric(Hr, phi, gr)
     c = join_complex(xi)
-    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric", EPS_CLOSED)
+    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric")
 
 
 def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
@@ -146,7 +148,7 @@ def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
     j = coords[i]
     p = z.copy()
     p[j] = domain.center[j] + domain.radii[j] * phase(rel[j])
-    return SliceDistance(float(slack[i]), p, "aligned", EPS_CLOSED)
+    return SliceDistance(float(slack[i]), p, "aligned")
 
 
 def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
@@ -159,15 +161,15 @@ def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
     p = z.copy()
     for j in coords:
         p[j] = z[j] + step * phase(z[j])
-    return SliceDistance(slack / math.sqrt(k), p, "aligned", EPS_CLOSED)
+    return SliceDistance(slack / math.sqrt(k), p, "aligned")
 
 
 def _polar_slice(domain: Domain, z, V) -> SliceDistance:
     cap = domain.circumscribed_radius(z)
     if not math.isfinite(cap):
-        cap = getattr(domain, "search_radius", 1e6)
+        cap = SEARCH_RADIUS
     tau, p = polar_first_exit(domain.contains_many, z, V, cap)
-    return SliceDistance(tau, p, "polar", EPS_POLAR)
+    return SliceDistance(tau, p, "polar")
 
 
 #: Domain.variant -> kernel(domain, z, V); slice_distance has already
@@ -214,7 +216,6 @@ class MinimalBasis:
     directions: np.ndarray           # (n, n) rows d^j, orthonormal
     methods: list = None
     constraint_indices: list = None
-    tau_rel_err: float = EPS_CLOSED
 
     @property
     def n(self) -> int:
@@ -223,6 +224,11 @@ class MinimalBasis:
     @property
     def approximate(self) -> bool:
         return "polar" in (self.methods or [])
+
+    @property
+    def tau_rel_err(self) -> float:
+        """Relative accuracy of every tau: that of the least exact backend used."""
+        return EPS_POLAR if self.approximate else EPS_CLOSED
 
 
 def minimal_basis(domain: Domain, z) -> MinimalBasis:
@@ -239,7 +245,6 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
     points = np.empty((n, n), dtype=np.complex128)
     dirs = np.empty((n, n), dtype=np.complex128)
     methods, cons = [], []
-    rel_err = EPS_CLOSED
     for j in range(n):
         try:
             r = slice_distance(domain, z, V)
@@ -263,11 +268,11 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
         dirs[j] = d
         methods.append(r.method)
         cons.append(r.constraint_index)
-        rel_err = max(rel_err, r.rel_err)
         if j + 1 < n:
             V = complement_within(V, d)
+    basis = MinimalBasis(domain, z, taus, points, dirs, methods, cons)
     # ordering: each step minimizes over a subset of the previous boundary slice
-    tol = max(1e-8, 2.0 * rel_err) * taus[-1]
+    tol = max(1e-8, 2.0 * basis.tau_rel_err) * taus[-1]
     for j in range(n - 1):
         if taus[j + 1] < taus[j] - tol:
             raise HolovolError(
@@ -276,7 +281,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
     residual = float(np.max(np.abs(D.conj().T @ D - np.eye(n))))
     if residual > 1e-5:
         raise SingularBasis(f"direction orthogonality residual {residual:.3e} > 1e-5")
-    return MinimalBasis(domain, z, taus, points, dirs, methods, cons, rel_err)
+    return basis
 
 
 def distance_product(basis: MinimalBasis) -> float:

@@ -34,7 +34,7 @@ from .errors import (
     NotSupporting,
     SingularBasis,
     TriangularityViolated,
-    UnsupportedBackend,
+    UnsupportedDomain,
 )
 from .geometry import ray_exit
 from .linalg import sample_en
@@ -71,7 +71,7 @@ def _oracle_normal(domain: MembershipOracle, basis: MinimalBasis, j: int) -> np.
     phi = pi/2 gives Im gamma_k; r'(0) is a central difference at t = +-EXIT_STEP.
     """
     if domain.convexity_class != CONVEX:
-        raise UnsupportedBackend(
+        raise UnsupportedDomain(
             "supporting hyperplanes are only certified for convex oracles")
     z, dirs, tau = basis.base_point, basis.directions, float(basis.taus[j])
     cos, sin = math.cos(EXIT_STEP), math.sin(EXIT_STEP)
@@ -211,7 +211,7 @@ def lemma_bound(A: np.ndarray, r: float) -> float | None:
 
 
 def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalization,
-                         *, samples: int = 512, seed: int = 0,
+                         *, samples: int = 2000, seed: int = 0,
                          tol: float = 1e-6) -> dict:
     """The three inclusions behind the bounds, each in closed form (mode
     ``exact``) where one exists and on `samples` random points (``sampled``).

@@ -6,8 +6,9 @@ Everything here is arithmetic on the distance product p_D = tau_1 ... tau_n:
     C-convex:  (16n)^-n <=  v(z) * p_D^2  <=  ((4^n - 1)/3)^n
 
 valid simultaneously for the Caratheodory and the Kobayashi-Eisenman volume
-element.  Intervals carry outward slack so that approximate tau backends stay
-honest: a relative tau error eps enters p_D^2 as (1 + eps)^(2n).
+element.  Intervals are widened outward by :func:`compound_slack`: the relative
+tau error eps of the basis (``MinimalBasis.tau_rel_err``) enters p_D^2 as
+(1 + eps)^(2n), and a fixed factor 1 + 1e-9 covers floating-point roundoff.
 
 Also here: the quotient lower bounds mu_n / nu_n, the diameter corollary, the
 inscribed/circumscribed-ball monotonicity interval, and the two proof-device
@@ -32,12 +33,10 @@ def _cap(x: float) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] for a nonnegative quantity, with the relative
-    outward inflation that was applied recorded in `slack`."""
+    """Closed interval [lo, hi] for a nonnegative quantity."""
 
     lo: float
     hi: float
-    slack: float = 0.0
 
     def __post_init__(self):
         if self.lo < 0:
@@ -50,7 +49,7 @@ class Interval:
         """Apply outward rounding: lo shrinks, hi grows, overflow becomes inf."""
         lo2 = max(0.0, lo * (1.0 - slack))
         hi2 = _cap(hi * (1.0 + slack))
-        return cls(lo2, hi2, slack)
+        return cls(lo2, hi2)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -98,14 +97,13 @@ def ge_constants(convexity_class: str, n: int) -> tuple:
 
 
 def certified_interval(convexity_class: str, n: int, pD: float, *,
-                       tau_rel_err: float = 0.0,
-                       base_slack: float = 1e-9) -> Interval:
+                       tau_rel_err: float = 0.0) -> Interval:
     """Two-sided certified interval for v(z) given the distance product."""
     if pD <= 0 or not math.isfinite(pD):
         raise ValueError(f"distance product must be positive and finite, got {pD}")
     lo_c, hi_c = ge_constants(convexity_class, n)
     pd2 = pD * pD
-    slack = compound_slack(tau_rel_err, n, base_slack)
+    slack = compound_slack(tau_rel_err, n)
     return Interval.certified(lo_c / pd2, _cap(hi_c / pd2), slack)
 
 
@@ -137,8 +135,7 @@ def bounded_domain_lower_bound(convexity_class: str, n: int, diam: float) -> flo
     return (class_constant(convexity_class) * n * diam * diam) ** (-n)
 
 
-def monotonicity_bounds(basis, circumscribed: float, *,
-                        base_slack: float = 1e-9) -> Interval:
+def monotonicity_bounds(basis, circumscribed: float) -> Interval:
     """v(z) between the values of the circumscribed and inscribed balls.
 
     B(z, tau_1) inside D inside B(z, R) and v of a radius-r ball at its center
@@ -152,7 +149,7 @@ def monotonicity_bounds(basis, circumscribed: float, *,
             f"circumscribed radius {circumscribed} below inscribed tau_1 {tau1}")
     lo = 0.0 if math.isinf(circumscribed) else circumscribed ** (-2 * n)
     hi = _cap(tau1 ** (-2 * n))
-    slack = compound_slack(basis.tau_rel_err, n, base_slack)
+    slack = compound_slack(basis.tau_rel_err, n)
     return Interval.certified(lo, hi, slack)
 
 

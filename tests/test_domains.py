@@ -35,9 +35,9 @@ from holovol.errors import (
     ConfigInvalid,
     DegenerateDomain,
     DimensionMismatch,
-    NoOracle,
     PointOutsideDomain,
     UnboundedDomain,
+    UnsupportedDomain,
 )
 from holovol.linalg import uniform_ball
 
@@ -247,7 +247,7 @@ def test_volume_element_outside_point_raises():
 
 
 def test_no_oracle_on_membership_oracle():
-    with pytest.raises(NoOracle):
+    with pytest.raises(UnsupportedDomain):
         exact_volume_element(symmetrized_bidisc(), np.zeros(2, dtype=np.complex128))
 
 

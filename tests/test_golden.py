@@ -34,7 +34,6 @@ def _scenario(name: str):
     ell = scenario.domain
     scenario.domain = MembershipOracle(
         ell.n, predicate=ell.contains_many, declared_class="convex",
-        search_radius=4.0,
         enclosing_polydisc=(ell.center, np.linalg.norm(ell.matrix, axis=1)))
     return scenario
 

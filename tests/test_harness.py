@@ -173,7 +173,7 @@ MALFORMED = {
     "oracle_inf_search_radius": (_malformed(domain={
         "variant": "oracle", "n": 2, "class": "c_convex",
         "predicate": "symmetrized_bidisc", "search_radius": float("inf")}), 1,
-        "search_radius"),
+        r"unknown oracle keys: \['search_radius'\]"),
     "oracle_refine_iters": (_malformed(domain={
         "variant": "oracle", "n": 2, "class": "c_convex",
         "predicate": "symmetrized_bidisc", "refine_iters": 3}), 1, "refine_iters"),
@@ -193,6 +193,12 @@ MALFORMED = {
                           r"unknown tolerances: \['chek_tol'\]"),
     "support_samples_removed": (_malformed(tolerances={"support_samples": 1000}), 1,
                                 r"unknown tolerances: \['support_samples'\]"),
+    "base_slack_removed": (_malformed(tolerances={"base_slack": 1e-9}), 1,
+                           r"unknown tolerances: \['base_slack'\]"),
+    "verify_samples_removed": (_malformed(tolerances={"verify_samples": 2000}), 1,
+                               r"unknown tolerances: \['verify_samples'\]"),
+    "max_degree_removed": (_malformed(tolerances={"max_degree": 40}), 1,
+                           r"unknown tolerances: \['max_degree'\]"),
     "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1,
                                "tolerance 'check_tol'"),
     "workers_zero": (_malformed(), 0, "workers"),
@@ -315,14 +321,26 @@ def test_cli_run_red_exit_two(tmp_path, capsys):
 
 def test_cli_run_unrunnable_checks_exit_zero(tmp_path, capsys):
     # an unbounded tube asked for every check: the Bergman checks and
-    # corollary_v cannot run there, which is no falsification
-    golden = Path(__file__).parent / "golden" / "halfspace_tube.config.json"
-    out = tmp_path / "r.json"
-    assert main(["run", "--config", str(golden), "--out", str(out)]) == 0
-    checks = [c for r in json.loads(out.read_text())["points"]
-              for c in r["checks"].values()]
+    # corollary_v cannot run there; the C-convex bidisc has no supporting
+    # normals for the normalization checks.  Neither is a falsification
+    tube = Path(__file__).parent / "golden" / "halfspace_tube.config.json"
+    bidisc = write_config(tmp_path, {
+        "name": "bidisc", "domain": domain_to_json(symmetrized_bidisc()),
+        "points": {"explicit": [[[0.2, 0.1], [0.05, -0.02]]]},
+        "checks": ["normalization", "lemma_inclusion"]}, name="bidisc.json")
+
+    def run_checks(config):
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        return [c for r in json.loads(out.read_text())["points"]
+                for c in r["checks"].values()]
+
+    checks = run_checks(tube)
     assert any("skipped" in c for c in checks)
     assert all(c["pass"] is not False for c in checks)
+    checks = run_checks(bidisc)
+    assert len(checks) == 2
+    assert all(c["pass"] is None and c["skipped"] for c in checks)
 
 
 def test_cli_bad_config_exit_one(tmp_path, capsys):

@@ -205,13 +205,11 @@ def test_closed_forms_match_polar_search():
     ball = unit_ball(2)
     oracle_ball = MembershipOracle(
         2, predicate=ball.contains_many, declared_class="convex",
-        search_radius=2.0,
         enclosing_polydisc=(np.zeros(2), np.ones(2)))
     P = Polydisc(2, center=np.zeros(2, dtype=np.complex128),
                  radii=np.array([1.0, 0.6]))
     oracle_pd = MembershipOracle(
         2, predicate=P.contains_many, declared_class="convex",
-        search_radius=2.0,
         enclosing_polydisc=(np.zeros(2), np.array([1.0, 0.6])))
     for exact_dom, oracle_dom, count in ((ball, oracle_ball, 8), (P, oracle_pd, 8)):
         # pull samples toward the center: polar search needs room

@@ -16,7 +16,7 @@ from holovol.domains import (
     symmetrized_bidisc,
     unit_ball,
 )
-from holovol.errors import InclusionViolated, NotSupporting, UnsupportedBackend
+from holovol.errors import InclusionViolated, UnsupportedDomain
 from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.normalization import (
     beta_excess,
@@ -258,7 +258,7 @@ def test_lemma_bound_matches_a_phase_brute_force():
 def test_c_convex_oracle_normals_unsupported():
     G = symmetrized_bidisc()
     basis = minimal_basis(G, np.array([0.2 + 0.1j, 0.05 - 0.02j]))
-    with pytest.raises(UnsupportedBackend):
+    with pytest.raises(UnsupportedDomain):
         supporting_normal(G, basis, 0)
 
 

@@ -46,24 +46,24 @@ def test_interval_certified_rounds_outward():
 
 
 def test_interval_contains_and_margins():
-    iv = Interval(lo=1.0, hi=4.0, slack=0.0)
+    iv = Interval(lo=1.0, hi=4.0)
     assert iv.contains(1.0) and iv.contains(4.0) and iv.contains(2.5)
     assert not iv.contains(0.999) and not iv.contains(4.001)
     assert iv.containment_margin(2.0) == pytest.approx(1.0)
     assert iv.containment_margin(0.5) == pytest.approx(-0.5)
-    other = Interval(lo=3.0, hi=9.0, slack=0.0)
+    other = Interval(lo=3.0, hi=9.0)
     assert iv.intersects(other)
     assert iv.intersection_margin(other) == pytest.approx(1.0)
-    disjoint = Interval(lo=5.0, hi=9.0, slack=0.0)
+    disjoint = Interval(lo=5.0, hi=9.0)
     assert not iv.intersects(disjoint)
     assert iv.intersection_margin(disjoint) == pytest.approx(-1.0)
 
 
 def test_interval_validation():
     with pytest.raises(Exception):
-        Interval(lo=2.0, hi=1.0, slack=0.0)
+        Interval(lo=2.0, hi=1.0)
     with pytest.raises(Exception):
-        Interval(lo=-1.0, hi=1.0, slack=0.0)
+        Interval(lo=-1.0, hi=1.0)
 
 
 def test_compound_slack_grows_with_relative_error():
