@@ -8,8 +8,11 @@ Two independent computation paths:
 * monomial moments — on complete Reinhardt domains K(z) = sum |z^alpha|^2/c_alpha
   where c_alpha is the squared L2 norm of z^alpha.  Ball, polydisc and l1-ball
   moments are exact (factorial / Dirichlet-integral formulas); generic radial
-  profiles in C^2 go through adaptive quadrature.  The two paths validate each
-  other and feed the kernel sandwich
+  profiles in C^2 go through adaptive quadrature.  A domain's moments are
+  computed once, on first use, and kept for its later points.  The series
+  runs on the domain scaled to unit size (the l1 ball s E_n on E_n), since
+  K_{sD}(z) = s^{-2n} K_D(z/s).  The two paths validate each other and feed
+  the kernel sandwich
 
       (4 pi)^-n  <=  K(z) p_D^2  <=  (2n)!/(2 pi)^n        (convex lower)
       (16 pi)^-n lower constant                            (C-convex)
@@ -20,7 +23,10 @@ Two independent computation paths:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import getitem
 
 import numpy as np
 from scipy.integrate import quad
@@ -111,39 +117,52 @@ class RadialProfile2D:
         return (2.0 * math.pi) ** 2 / (2 * a2 + 2) * val
 
 
+def _unit_radii(moments_cls, radii, center):
+    """Moments of the domain with radii / s, s the largest radius: then
+    |w_k|^2 < 1 inside, and no power in the series overflows."""
+    s = float(np.max(radii))
+    return moments_cls(radii / s), center, s
+
+
 def _ball_image_moments(domain: AffineBallImage):
     G = domain.matrix @ domain.matrix.conj().T
     off = G - np.diag(np.diag(G))
     if np.max(np.abs(off)) > 1e-12 * np.max(np.abs(np.diag(G))):
         raise UnsupportedDomain(
             "ball image is Reinhardt only for (unitarily) diagonal M")
-    return DiagBallMoments(np.sqrt(np.diag(G).real)), domain.center
+    return _unit_radii(DiagBallMoments, np.sqrt(np.diag(G).real), domain.center)
 
 
-#: Domain.variant -> (moments, Reinhardt center) for complete Reinhardt backends
+#: Domain.variant -> (moments, center, scale) for complete Reinhardt backends:
+#: the domain is center + scale * (the domain of the moments)
 REINHARDT_MOMENTS = {
-    "polydisc": lambda d: (PolydiscMoments(d.radii), d.center),
-    "l1ball": lambda d: (L1BallMoments(d.n, d.scale), np.zeros(d.n, complex)),
+    "polydisc": lambda d: _unit_radii(PolydiscMoments, d.radii, d.center),
+    "l1ball": lambda d: (L1BallMoments(d.n, 1.0), np.zeros(d.n, complex), d.scale),
     "ball_image": _ball_image_moments,
 }
 
 
 def reinhardt_moments_for(domain: Domain):
-    """(moments, center) for backends that are complete Reinhardt domains."""
-    moments = REINHARDT_MOMENTS.get(domain.variant)
-    if moments is None:
-        raise UnsupportedDomain(
-            f"{type(domain).__name__} has no complete Reinhardt description")
-    return moments(domain)
+    """(moments, center, scale) for backends that are complete Reinhardt
+    domains.  It is built once per domain instance and kept on it, so the
+    moments memoized for one point serve every later point of that domain."""
+    found = vars(domain).get("_reinhardt")
+    if found is None:
+        describe = REINHARDT_MOMENTS.get(domain.variant)
+        if describe is None:
+            raise UnsupportedDomain(
+                f"{type(domain).__name__} has no complete Reinhardt description")
+        found = domain._reinhardt = describe(domain)
+    return found
 
 
-def _compositions(total: int, parts: int):
+@lru_cache(maxsize=None)
+def _shell(total: int, parts: int) -> tuple:
+    """Exponents of total degree `total` in `parts` variables, graded-lex."""
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return ((total,),)
+    return tuple((head,) + rest for head in range(total, -1, -1)
+                 for rest in _shell(total - head, parts - 1))
 
 
 def bergman_from_moments(moments, w, max_degree: int = 40) -> BergmanValue:
@@ -152,18 +171,27 @@ def bergman_from_moments(moments, w, max_degree: int = 40) -> BergmanValue:
     Sums shells of fixed total degree in graded-lex order; the tail beyond
     max_degree is bounded by a geometric estimate from the last three shell
     ratios (refused via TailDiverges when the observed ratio reaches 0.9).
+    The terms are Python floats, added one by one in that order.  Each
+    c_alpha is computed once per moments object and kept in its ``memo``.
     """
     w = as_cvector(w, moments.n)
-    m = np.abs(w) ** 2
+    m = (np.abs(w) ** 2).tolist()
+    powers = [[mk ** a for a in range(max_degree + 1)] for mk in m]
+    memo = vars(moments).setdefault("memo", {})
     shells = []
+    value = 0.0
     for d in range(max_degree + 1):
         s = 0.0
-        for alpha in _compositions(d, moments.n):
-            term = math.prod(mm ** a for mm, a in zip(m, alpha))
+        for alpha in _shell(d, moments.n):
+            term = math.prod(map(getitem, powers, alpha))
             if term > 0.0:
-                s += term / moments.moment(alpha)
+                c = memo.get(alpha)
+                if c is None:
+                    c = memo[alpha] = moments.moment(alpha)
+                s += term / c
         shells.append(s)
-    value = float(sum(shells))
+        value += s
+    value = float(value)  # polydisc moments are numpy scalars
     if shells[-1] == 0.0:
         # monomials above some degree vanish identically at w (zero coordinates)
         return BergmanValue(value, 0.0, "reinhardt_quadrature")
@@ -181,8 +209,19 @@ def bergman_reinhardt(domain: Domain, z, max_degree: int = 40) -> BergmanValue:
     z = as_cvector(z, domain.n)
     if not contains(domain, z):
         raise PointOutsideDomain("Bergman kernel evaluated outside the domain")
-    moments, center = reinhardt_moments_for(domain)
-    return bergman_from_moments(moments, z - center, max_degree)
+    moments, center, scale = reinhardt_moments_for(domain)
+    # K_{c + sD}(z) = s^{-2n} K_D((z - c)/s)
+    K = bergman_from_moments(moments, (z - center) / scale, max_degree)
+    try:
+        factor = scale ** (-2 * domain.n)
+    except OverflowError:
+        factor = math.inf
+    value = K.value * factor
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise UnsupportedDomain(
+            f"kernel {K.value:g} * scale^(-2n) = {value:g} leaves the normal "
+            f"double range at scale {scale:g}")
+    return BergmanValue(value, K.truncation_error * factor, K.method)
 
 
 # ---------------------------------------------------------------------------

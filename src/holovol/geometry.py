@@ -10,7 +10,9 @@ point to the domain boundary within an affine complex slice:
   ``xi(t) = t (I - t H)^{-1} phi`` with q(xi(t)) strictly increasing in t on
   [0, 1/lambda_max) -- a one-constraint trust-region-style projection solved by
   bisection until the bracket on t is two adjacent floats, with the classical
-  hard case (top eigencomponents of phi vanish) handled explicitly.
+  hard case (top eigencomponents of phi vanish) handled explicitly.  After
+  one ``eigh``, each of the ~55 evaluations of q is a scalar loop over at
+  most six Python floats, added left to right.
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
@@ -52,13 +54,18 @@ CHUNK = 200_000
 
 
 def _secular(t, lam, phi2, g):
-    """q(xi(t)) on the bisection branch; +inf near poles, phi2==0 terms are 0."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        den = (1.0 - t * lam) ** 2
-        num = phi2 * t * (2.0 - lam * t)
-        terms = np.where(phi2 > 0.0, num / np.maximum(den, _TINY), 0.0)
-    s = float(np.sum(terms))
-    return math.inf if not np.isfinite(s) else s + g
+    """q(xi(t)) on the bisection branch; +inf near poles, phi2==0 terms are 0.
+
+    lam and phi2 are lists of at most six Python floats, which cost less
+    here than arrays.  The terms are summed left to right, the order np.sum
+    uses on so few, so the loop matches the array form bit for bit.
+    """
+    s = 0.0
+    for lk, pk in zip(lam, phi2):
+        if pk > 0.0:
+            u = 1.0 - t * lk
+            s += pk * t * (2.0 - lk * t) / max(u * u, _TINY)
+    return s + g if math.isfinite(s) else math.inf
 
 
 def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
@@ -85,9 +92,9 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
         if n2 <= 1e-30 * scale * scale:
             raise Unbounded("slice constraint is identically negative (complex line inside)")
         return (-g / (2.0 * n2)) * phi
-    phi2 = phit ** 2
+    lam_s, phi2 = lam.tolist(), (phit ** 2).tolist()
     t_end = (1.0 - 1e-13) / lmax
-    if _secular(t_end, lam, phi2, g) <= 0.0:
+    if _secular(t_end, lam_s, phi2, g) <= 0.0:
         # hard case: phi has (numerically) no component in the top eigenspace.
         top = lam >= lmax * (1.0 - 1e-10)
         # regular components at t = 1/lmax: xi_i = phi_i / (lmax - lam_i)
@@ -106,9 +113,9 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
                 break
         return xi_reg + alpha * (v / nv)
     lo, hi = 0.0, t_end
-    while np.nextafter(lo, hi) != hi:
+    while math.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
-        if _secular(mid, lam, phi2, g) < 0.0:
+        if _secular(mid, lam_s, phi2, g) < 0.0:
             lo = mid
         else:
             hi = mid

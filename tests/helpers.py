@@ -1,5 +1,7 @@
 """Helpers that only the tests use."""
 
+import math
+
 import numpy as np
 
 from holovol.domains import ExactOracle
@@ -42,3 +44,15 @@ def validate_oracle(oracle: ExactOracle, *, points: int = 100, seed: int = 0,
         raise ConfigInvalid(
             f"oracle jacobian_det disagrees with finite differences (rel {worst:.3e})")
     return worst
+
+
+def secular_numpy(t, lam, phi2, g):
+    """The array form of ``geometry._secular``, kept as its reference: the
+    scalar loop must match it bit for bit.  lam and phi2 may be lists."""
+    lam, phi2 = np.asarray(lam, dtype=float), np.asarray(phi2, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        den = (1.0 - t * lam) ** 2
+        num = phi2 * t * (2.0 - lam * t)
+        terms = np.where(phi2 > 0.0, num / np.maximum(den, 1e-300), 0.0)
+    s = float(np.sum(terms))
+    return math.inf if not np.isfinite(s) else s + g

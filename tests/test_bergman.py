@@ -28,6 +28,7 @@ from holovol.domains import (
     unit_ball,
 )
 from holovol.errors import TailDiverges, UnsupportedDomain
+from holovol.harness import parse_scenario, run_scenario
 from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.volume_elements import Interval, certified_interval
 
@@ -152,6 +153,69 @@ def test_reinhardt_moments_rejects_non_reinhardt():
     skew = AffineBallImage(2, matrix=M, center=np.zeros(2, dtype=np.complex128))
     with pytest.raises(UnsupportedDomain):
         reinhardt_moments_for(skew)
+
+
+def _l1_scenario(scale: float) -> dict:
+    return {"name": f"l1-scale-{scale:g}",
+            "domain": {"variant": "l1ball", "n": 2, "scale": scale},
+            "points": {"sampler": {"count": 4, "seed": 3}}}
+
+
+def test_l1_ball_kernel_checks_are_scale_invariant():
+    # K_{sE}(z) = s^{-2n} K_E(z/s): the series runs on E_n at z/s, so neither
+    # underflow (small s) nor overflow (large s) reaches the moments
+    def margins(report):
+        return [[p["checks"][name]["margin"] for name in ("bergman_sandwich", "ratio")]
+                for p in report["points"]]
+
+    unit = margins(run_scenario(_l1_scenario(1.0)))
+    for scale in (1e-4, 1e-2, 1.0, 1e3, 1e4, 1e10):
+        report = run_scenario(_l1_scenario(scale))
+        assert report["summary"]["failures"] == 0, scale
+        assert report["summary"]["errors"] == 0, scale
+        for got, ref in zip(margins(report), unit):
+            for g, r in zip(got, ref):
+                assert g == r if r is None else g == pytest.approx(r, rel=1e-9), scale
+
+
+def test_l1_ball_kernel_out_of_double_range_is_skipped():
+    L = L1Ball(n=2, scale=1e200)
+    with pytest.raises(UnsupportedDomain, match="double range"):
+        bergman_reinhardt(L, np.array([1e199 + 0j, 0j]))
+
+
+def test_moments_are_computed_once_per_parsed_domain(monkeypatch):
+    calls = []
+    moment = L1BallMoments.moment
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return moment(self, alpha)
+
+    monkeypatch.setattr(L1BallMoments, "moment", counted)
+    config = _l1_scenario(1.0)
+    report = run_scenario(config)
+    # 861 exponents of degree <= 40 in two variables, each computed once
+    # for all four points
+    assert len(calls) == 861 == len(set(calls))
+
+    def kernel(compute):
+        try:
+            return compute()
+        except TailDiverges as exc:  # three of the four points are near the boundary
+            return str(exc)
+
+    # a new parse computes them again; its values are those of a series
+    # with nothing memoized, bit for bit
+    calls.clear()
+    domain = parse_scenario(config).domain
+    for p in report["points"]:
+        z = np.array([complex(*c) for c in p["z"]])
+        memoized = kernel(lambda: bergman_reinhardt(domain, z))
+        assert memoized == kernel(lambda: bergman_from_moments(L1BallMoments(2, 1.0), z))
+        if isinstance(memoized, BergmanValue):
+            assert p["checks"]["bergman_sandwich"]["K"] == memoized.value
+    assert len(calls) == 861 + 4 * 861
 
 
 def test_l1_ball_kernel_from_moments_is_positive_and_monotone():

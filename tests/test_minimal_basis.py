@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_unitary
+from helpers import random_unitary, secular_numpy
 
 from holovol.domains import (
     AffineBallImage,
@@ -20,6 +22,7 @@ from holovol.errors import (
     DegenerateDomain,
     PointOutsideDomain,
     PointTooCloseToBoundary,
+    Unbounded,
 )
 from holovol import geometry
 from holovol.linalg import uniform_ball
@@ -500,3 +503,73 @@ def test_point_too_close_to_boundary():
     z = np.array([1.0 - 1e-13 + 0j, 0j])
     with pytest.raises(PointTooCloseToBoundary):
         minimal_basis(unit_ball(2), z)
+
+
+def _random_quadric(rng, d):
+    """(H, phi, g): H PSD of random rank, phi with some eigencomponents
+    exactly zero (H diagonal then), g < 0."""
+    if rng.random() < 0.5:
+        lam = np.sort(rng.random(d) * rng.choice([1e-3, 1.0, 1e3]))
+        lam[:rng.integers(0, d)] = 0.0  # rank deficient
+        H = np.diag(rng.permutation(lam))
+        phi = rng.normal(size=d) * (rng.random(d) < 0.6)
+    else:
+        B = rng.normal(size=(d, rng.integers(1, d + 1)))
+        H = B @ B.T
+        phi = rng.normal(size=d)
+    return H, phi, -rng.random() - 1e-3
+
+
+def test_scalar_secular_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(14)
+    checked = 0
+    for _ in range(300):
+        H, phi, g = _random_quadric(rng, int(rng.integers(2, 7)))
+        lam, Q = np.linalg.eigh(H)
+        lam = np.clip(lam, 0.0, None)
+        if lam[-1] <= 0.0:
+            continue
+        phi2 = (Q.T @ phi) ** 2
+        phi2[rng.random(phi2.size) < 0.2] = 0.0
+        t_end = (1.0 - 1e-13) / lam[-1]
+        ts = np.concatenate([rng.random(50) * t_end, t_end * (1.0 - rng.random(9) ** 8),
+                             [t_end]])
+        for t in ts.tolist():
+            got = geometry._secular(t, lam.tolist(), phi2.tolist(), g)
+            assert got == secular_numpy(t, lam, phi2, g), (t, lam, phi2, g)
+            checked += 1
+    assert checked >= 15_000
+    # at a pole the guarded denominator keeps the scalar loop from raising
+    pole = geometry._secular(0.5, [0.5, 2.0], [1.0, 1.0], -1.0)
+    assert pole == secular_numpy(0.5, [0.5, 2.0], [1.0, 1.0], -1.0) > 1e299
+    assert geometry._secular(0.5, [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
+    assert secular_numpy(0.5, [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
+
+
+def test_nearest_on_quadric_matches_numpy_reference(monkeypatch):
+    rng = np.random.default_rng(41)
+    cases = [_random_quadric(rng, int(rng.integers(2, 7))) for _ in range(150)]
+    # hard case: phi has no component in the top eigenspace
+    cases.append((np.diag([1.0, 4.0, 4.0]), np.array([0.3, 0.0, 0.0]), -1.0))
+
+    def solve_all():
+        out = []
+        for H, phi, g in cases:
+            try:
+                out.append(geometry.nearest_on_quadric(H, phi, g))
+            except Unbounded:
+                out.append(None)
+        return out
+
+    scalar = solve_all()
+    monkeypatch.setattr(geometry, "_secular",
+                        lambda t, lam, phi2, g: secular_numpy(t, lam, phi2, g))
+    reference = solve_all()
+    for got, ref in zip(scalar, reference):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert np.array_equal(got, ref)
+    xi = scalar[-1]
+    H, phi, g = cases[-1]
+    assert xi[1] != 0.0 or xi[2] != 0.0  # the hard case leaves along the top space
+    assert float(xi @ H @ xi + 2.0 * phi @ xi + g) == pytest.approx(0.0, abs=1e-12)

@@ -45,3 +45,6 @@ def test_tracer_records_a_ball_image_scenario():
     assert tracer.calls("normalization.verify") == 3
     assert tracer.calls("geometry.nearest_on_quadric") > 0
     assert tracer.calls("geometry.polar_first_exit") > 0
+    # the l1 point's kernel series computes each of the 861 moments of
+    # degree <= 40 once, through the moment method the tracer counts
+    assert tracer.counts["moment_evals"] == 861
