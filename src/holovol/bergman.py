@@ -294,6 +294,11 @@ def ratio_band(convexity_class: str, n: int) -> tuple:
     return lo, hi
 
 
+def _upper_ratio(v: float, K_lo: float) -> float:
+    """v / K_lo, and +inf when the kernel's lower end is not positive."""
+    return v / K_lo if K_lo > 0.0 else math.inf
+
+
 def ratio_check(convexity_class: str, n: int, v_interval: Interval,
                 K: BergmanValue, v_exact: float | None = None) -> dict:
     """Compare v/K against the theorem band.
@@ -302,14 +307,14 @@ def ratio_check(convexity_class: str, n: int, v_interval: Interval,
     only a certified v interval the check degrades to nonempty intersection.
     """
     band_lo, band_hi = ratio_band(convexity_class, n)
-    K_lo = max(K.value - K.truncation_error, 1e-300)
+    K_lo = K.value - K.truncation_error
     K_hi = K.value + K.truncation_error
     if v_exact is not None:
-        r_lo, r_hi = v_exact / K_hi, v_exact / K_lo
+        r_lo, r_hi = v_exact / K_hi, _upper_ratio(v_exact, K_lo)
         margins = (r_lo - band_lo, band_hi - r_hi)
         mode = "containment"
     else:
-        r_lo, r_hi = v_interval.lo / K_hi, v_interval.hi / K_lo
+        r_lo, r_hi = v_interval.lo / K_hi, _upper_ratio(v_interval.hi, K_lo)
         margins = (r_hi - band_lo, band_hi - r_lo)
         mode = "intersection"
     return {

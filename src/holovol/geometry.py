@@ -10,9 +10,11 @@ point to the domain boundary within an affine complex slice:
   ``xi(t) = t (I - t H)^{-1} phi`` with q(xi(t)) strictly increasing in t on
   [0, 1/lambda_max) -- a one-constraint trust-region-style projection solved by
   bisection until the bracket on t is two adjacent floats, with the classical
-  hard case (top eigencomponents of phi vanish) handled explicitly.  After
-  one ``eigh``, each of the ~55 evaluations of q is a scalar loop over at
-  most six Python floats, added left to right.
+  hard case (top eigencomponents of phi vanish) handled explicitly.  Near
+  the hard case, where 1 - t lambda_max is too small for a float t to
+  resolve, the root is solved again in eps = 1/t - lambda_max.  After one
+  ``eigh``, each of the ~55 evaluations of q is a scalar loop over at most
+  six Python floats, added left to right.
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
@@ -40,6 +42,8 @@ from .errors import Unbounded
 from .linalg import join_complex
 
 _TINY = 1e-300
+#: below this 1 - t lambda_max the secular root is solved again in 1/t - lambda_max
+_NEAR_POLE = 1e-3
 
 #: about GRID_PER_DIM^k directions in the initial grid of a k-dimensional slice
 GRID_PER_DIM = 64
@@ -68,11 +72,24 @@ def _secular(t, lam, phi2, g):
     return s + g if math.isfinite(s) else math.inf
 
 
+def _secular_near_pole(eps, gaps, lam, phi2, g):
+    """q(xi) at xi_k = phi_k / d_k, d_k = eps + (lmax - lam_k): the secular
+    function in eps = 1/t - lmax, where each term is phi_k^2 (2 d_k + lam_k) / d_k^2."""
+    s = 0.0
+    for gk, lk, pk in zip(gaps, lam, phi2):
+        if pk > 0.0:
+            d = eps + gk
+            s += pk * (2.0 * d + lk) / max(d * d, _TINY)
+    return s + g if math.isfinite(s) else math.inf
+
+
 def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
     """Minimum-norm xi with xi^T H xi + 2 phi.xi + g = 0 (H PSD, g < 0).
 
     The secular root t is bisected until its bracket ends are adjacent floats,
-    where a further step would move neither.  Raises Unbounded when the
+    where a further step would move neither.  If then 1 - t lmax < _NEAR_POLE,
+    the root is bisected again, to adjacent floats, in eps = 1/t - lmax,
+    where the top components phi_k / eps keep full relative precision.  Raises Unbounded when the
     constraint set is empty on every ray (H == 0 and phi == 0, i.e. the slice
     never meets the boundary).  Ties in the hard case are broken by projecting
     the first standard basis vector onto the top eigenspace, which is
@@ -120,7 +137,21 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
         else:
             hi = mid
     t = 0.5 * (lo + hi)
-    return Q @ (t * phit / (1.0 - t * lam))
+    if 1.0 - t * lmax >= _NEAR_POLE:
+        return Q @ (t * phit / (1.0 - t * lam))
+    # near the hard case 1 - t lmax is a difference of nearly equal floats,
+    # so the top components t phi_k / (1 - t lam_k) lose their relative
+    # precision.  In eps = 1/t - lmax they are phi_k / eps, exact to
+    # rounding: bisect q in eps, decreasing, with its root below 2 NEAR_POLE lmax
+    gaps = (lmax - lam).tolist()
+    lo, hi = 0.0, 2.0 * _NEAR_POLE * lmax
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if _secular_near_pole(mid, gaps, lam_s, phi2, g) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return Q @ (phit / (0.5 * (lo + hi) + (lmax - lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Slice-distance kernels, keyed by ``Domain.variant`` in :data:`SLICE_KERNELS`
 halfspace       closed form min_i (b_i - Re<z,a_i>) / |P a_i|
 ball_image      quadric projection (see geometry.nearest_on_quadric)
 siegel          quadric projection (PSD Hessian + linear term)
-polydisc, l1    closed form on coordinate-aligned slices, polar otherwise
+polydisc        closed form on coordinate-aligned slices, polar otherwise
+l1ball          closed form on coordinate-aligned slices; at n = 2 the second
+                slice is an ellipse, solved in closed form ("ellipse");
+                polar otherwise
 oracle          polar first-exit search (approximate, flagged)
 ==============  ==============================================================
 
@@ -73,8 +76,11 @@ TAU_MIN = 1e-10
 class SliceDistance:
     tau: float
     p: np.ndarray
-    method: str            # "halfspace" | "quadric" | "aligned" | "polar"
+    method: str            # "halfspace" | "quadric" | "aligned" | "ellipse" | "polar"
     constraint_index: int | None = None
+    #: p - z up to a positive factor, where the kernel knows it exactly; near
+    #: the boundary the difference p - z keeps only eps|z|/tau of it
+    direction: np.ndarray | None = None
 
 
 def _aligned_coordinates(V: np.ndarray) -> list[int] | None:
@@ -154,14 +160,55 @@ def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
 def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
     coords = _aligned_coordinates(V)
     if coords is None:
+        if V.shape == (2, 1):
+            # omega_1 - omega_2 = <u, phase(z)>: the line is orthogonal to the
+            # first direction, as at minimal_basis's second step
+            ph1, ph2 = phase(complex(z[0])), phase(complex(z[1]))
+            omega1 = complex(V[0, 0]) * ph1.conjugate()
+            omega2 = -complex(V[1, 0]) * ph2.conjugate()
+            if abs(omega1 - omega2) <= 1e-12:
+                return _l1_ellipse_slice(domain.scale, z, V[:, 0], 0.5 * (omega1 + omega2))
         return _polar_slice(domain, z, V)
     slack = domain.scale - float(np.sum(np.abs(z)))  # positive inside
     k = len(coords)
     step = slack / k
     p = z.copy()
+    d = np.zeros_like(z)
     for j in coords:
-        p[j] = z[j] + step * phase(z[j])
-    return SliceDistance(slack / math.sqrt(k), p, "aligned")
+        d[j] = phase(z[j])
+        p[j] = z[j] + step * d[j]
+    return SliceDistance(slack / math.sqrt(k), p, "aligned", direction=d)
+
+
+def _l1_ellipse_slice(s: float, z, u, omega: complex) -> SliceDistance:
+    """Exact distance to the boundary of {|z_1| + |z_2| < s} along the line
+    z + C u, where u_1 conj(phase z_1) = -u_2 conj(phase z_2) = omega.
+
+    With a = |z_1|, b = |z_2| and eta = zeta omega, |z_1 + zeta u_1| = |a + eta|
+    and |z_2 + zeta u_2| = |b - eta|, so the slice is the ellipse
+    |eta + a| + |eta - b| < s: foci -a and b, centre (b - a)/2, semi-axes s/2
+    and sqrt(s^2 - sigma^2)/2 (sigma = a + b), with eta = 0 on its major axis.
+    The nearest boundary point lies off the axis when s|b - a| < sigma^2, at
+    cos(theta) = -s(b - a)/sigma^2, and is the near vertex otherwise; that
+    includes z = 0, where every direction ties.  |zeta| = |eta|/|omega| and
+    |omega| = 1/sqrt(2).  The work runs in units of s, so no scale overflows,
+    and s - sigma is one correctly rounded sum, so points near the boundary
+    keep their relative accuracy.
+    """
+    a, b = abs(complex(z[0])), abs(complex(z[1]))
+    ha, hb = a / s, b / s
+    sigma, delta = ha + hb, hb - ha
+    if abs(delta) < sigma * sigma:
+        gap = math.fsum((s, -a, -b)) / s          # 1 - sigma
+        cos = -(delta / sigma) / sigma
+        x = 0.5 * cos * gap * (1.0 + sigma)       # (b - a)/2 + cos(theta)/2
+        y = 0.5 * math.sqrt(gap * (1.0 + sigma) * (1.0 - cos) * (1.0 + cos))
+        eta = s * complex(x, y)
+        tau = s * math.sqrt(2.0 * (ha / sigma) * (hb / sigma) * gap * (1.0 + sigma))
+    else:
+        eta = complex(0.5 * s * (delta - math.copysign(1.0, delta)), 0.0)
+        tau = math.fsum((s, -max(a, b), min(a, b))) / math.sqrt(2.0)
+    return SliceDistance(tau, z + (eta / omega) * u, "ellipse")
 
 
 def _polar_slice(domain: Domain, z, V) -> SliceDistance:
@@ -256,7 +303,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
         if j == 0 and r.tau < TAU_MIN:
             raise PointTooCloseToBoundary(
                 f"first boundary distance {r.tau:.3e} below {TAU_MIN:g}")
-        d = r.p - z
+        d = r.p - z if r.direction is None else r.direction
         # kill out-of-slice roundoff before normalizing
         d = V @ (V.conj().T @ d)
         nd = np.linalg.norm(d)

@@ -163,13 +163,14 @@ def _l1_scenario(scale: float) -> dict:
 
 def test_l1_ball_kernel_checks_are_scale_invariant():
     # K_{sE}(z) = s^{-2n} K_E(z/s): the series runs on E_n at z/s, so neither
-    # underflow (small s) nor overflow (large s) reaches the moments
+    # underflow (small s) nor overflow (large s) reaches the moments; at
+    # s = 1e76 the kernel is near 1e-304, and the ratio divides by it as is
     def margins(report):
         return [[p["checks"][name]["margin"] for name in ("bergman_sandwich", "ratio")]
                 for p in report["points"]]
 
     unit = margins(run_scenario(_l1_scenario(1.0)))
-    for scale in (1e-4, 1e-2, 1.0, 1e3, 1e4, 1e10):
+    for scale in (1e-4, 1e-2, 1.0, 1e3, 1e4, 1e10, 1e76):
         report = run_scenario(_l1_scenario(scale))
         assert report["summary"]["failures"] == 0, scale
         assert report["summary"]["errors"] == 0, scale
@@ -289,6 +290,15 @@ def test_ratio_check_intersection_mode_without_oracle():
     res = ratio_check("convex", 2, iv, K)
     assert res["mode"] == "intersection"
     assert res["lower_margin"] > 0 and res["upper_margin"] > 0
+
+
+def test_ratio_check_without_a_positive_kernel_lower_end_is_unbounded_above():
+    iv = Interval(0.5, 2.0)
+    K = BergmanValue(1.0, 1.5, "reinhardt_quadrature")
+    res = ratio_check("convex", 2, iv, K)
+    assert res["ratio_hi"] == math.inf and res["lower_margin"] == math.inf
+    res = ratio_check("convex", 2, iv, K, v_exact=1.0)
+    assert res["ratio_hi"] == math.inf and res["upper_margin"] == -math.inf
 
 
 def test_ratio_band_frozen_n2():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,11 @@ from holovol.errors import (
     Unbounded,
 )
 from holovol import geometry
-from holovol.linalg import uniform_ball
+from holovol.linalg import complement_within, uniform_ball
 from holovol.minimal_basis import (
+    EPS_CLOSED,
     EPS_POLAR,
+    _polar_slice,
     distance_product,
     minimal_basis,
     slice_distance,
@@ -98,7 +101,124 @@ def test_l1_ball_from_center():
     # the orthogonal complement slice has the same radius by symmetry
     L = L1Ball(n=2, scale=1.0)
     basis = minimal_basis(L, np.zeros(2, dtype=np.complex128))
-    assert basis.taus == pytest.approx([2 ** -0.5, 2 ** -0.5], rel=1e-6)
+    assert basis.taus == pytest.approx([2 ** -0.5, 2 ** -0.5], rel=1e-12)
+    assert basis.methods == ["aligned", "ellipse"]
+    assert not basis.approximate
+
+
+def mp_l1_line_distance(z, u, s):
+    """Least |zeta| with |z_1 + zeta u_1| + |z_2 + zeta u_2| = s, in 25-digit
+    mpmath: each ray's exit radius by bisection, minimized over the ray
+    angle by a 96-point scan and golden-section refinement."""
+    with mp.workdps(25):
+        return _mp_l1_line_distance(z, u, s)
+
+
+def _mp_l1_line_distance(z, u, s):
+    z = [mp.mpc(c.real, c.imag) for c in z]
+    u = [mp.mpc(c.real, c.imag) for c in u]
+    s = mp.mpf(s)
+
+    def exit_radius(theta):
+        w = mp.expj(theta)
+        lo, hi = mp.mpf(0), 4 * s
+        for _ in range(90):
+            mid = (lo + hi) / 2
+            if abs(z[0] + mid * w * u[0]) + abs(z[1] + mid * w * u[1]) < s:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    step = 2 * mp.pi / 96
+    scan = [exit_radius(k * step) for k in range(96)]
+    k = min(range(96), key=scan.__getitem__)
+    a, b = (k - 1) * step, (k + 1) * step
+    g = (mp.sqrt(5) - 1) / 2
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = exit_radius(c), exit_radius(d)
+    for _ in range(40):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = exit_radius(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = exit_radius(d)
+    return float(min(fc, fd, scan[k]))
+
+
+L1_ELLIPSE_POINTS = [
+    (1.0, np.array([0j, 0j])),                        # every direction ties
+    (1.0, np.array([0.3 + 0j, 0j])),                  # a zero coordinate
+    (1.0, np.array([0j, -0.45j])),
+    (1.0, np.array([0.2 - 0.1j, 0.25j])),             # off the major axis
+    (1.0, np.array([0.05 + 0.02j, 0.6 - 0.1j])),      # on it, at the near vertex
+    (1.0, np.array([0.5 + 0j, (0.5 - 1e-6) * 1j])),   # |z|_1 / s = 1 - 1e-6
+    (1.0, np.array([0j, 1.0 - 1e-6 + 0j])),
+    (3.0, np.array([-0.9 + 0.4j, 0.7 + 0.2j])),
+]
+
+
+@pytest.mark.parametrize("scale, z", L1_ELLIPSE_POINTS)
+def test_l1_second_slice_is_an_exact_ellipse(scale, z):
+    L = L1Ball(n=2, scale=scale)
+    basis = minimal_basis(L, z)
+    assert basis.methods == ["aligned", "ellipse"]
+    assert not basis.approximate and basis.tau_rel_err == EPS_CLOSED
+    V = complement_within(np.eye(2, dtype=np.complex128), basis.directions[0])
+    tau, p = basis.taus[1], basis.boundary_points[1]
+    assert tau == pytest.approx(mp_l1_line_distance(z, V[:, 0], scale), rel=1e-12)
+    assert np.sum(np.abs(p)) == pytest.approx(scale, rel=1e-13)
+    assert np.linalg.norm(p - z) == pytest.approx(tau, rel=1e-13)
+    assert abs(_polar_slice(L, z, V).tau - tau) <= EPS_POLAR * tau
+
+
+def test_l1_slices_at_n3_keep_the_polar_search():
+    # (a line at n = 2 that is not orthogonal to phase(z) keeps it too: see
+    # test_polar_march_is_invariant_to_block_size)
+    basis = minimal_basis(L1Ball(n=3, scale=1.0), np.array([0.2 + 0.1j, -0.15j, 0.1 + 0j]))
+    assert basis.methods == ["aligned", "polar", "polar"]
+    assert basis.approximate
+
+
+def mp_ellipse_distance(a2, z):
+    """Distance from z to the boundary of sum |x_k|^2 / a2_k < 1, by 50-digit
+    bisection of the Lagrange condition (a2_2 < a2_1; z_2 != 0)."""
+    with mp.workdps(50):
+        a2 = [mp.mpf(a) for a in a2]
+        z = [mp.mpc(c.real, c.imag) for c in z]
+
+        def excess(nu):
+            return sum(abs(z[k]) ** 2 * a2[k] / (a2[k] + nu) ** 2 for k in range(2)) - 1
+
+        lo, hi = -a2[1], mp.mpf(0)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        nu = (lo + hi) / 2
+        return float(mp.sqrt(sum(abs(z[k] * a2[k] / (a2[k] + nu) - z[k]) ** 2
+                                 for k in range(2))))
+
+
+@pytest.mark.parametrize("e", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_quadric_projection_near_the_hard_case(e):
+    # M = diag(2, 0.5), z = (0.3, e): at e = 0 the top eigencomponent of phi
+    # vanishes; just above it 1 - t lambda_max is about e, below what a
+    # bisection on t resolves
+    U = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    for rotation in (np.eye(2), U):
+        E = AffineBallImage(2, matrix=rotation @ np.diag([2.0, 0.5]).astype(np.complex128),
+                            center=np.zeros(2, dtype=np.complex128))
+        z = rotation @ np.array([0.3, e], dtype=np.complex128)
+        r = slice_distance(E, z, np.eye(2, dtype=np.complex128))
+        w = E.to_ball(r.p[None, :])[0]
+        assert abs(float(np.sum(np.abs(w) ** 2)) - 1.0) <= 1e-12
+        assert r.tau == pytest.approx(mp_ellipse_distance([4.0, 0.25], [0.3, e]), rel=1e-9)
 
 
 def test_square_halfspace_distances():

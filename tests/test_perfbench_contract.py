@@ -12,7 +12,7 @@ per-layer figures; the span counts below catch that too.
 import importlib.util
 from pathlib import Path
 
-from holovol.domains import L1Ball, domain_to_json, unit_ball
+from holovol.domains import L1Ball, domain_to_json, symmetrized_bidisc, unit_ball
 from holovol.harness import run_scenario
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -29,22 +29,27 @@ def test_tracer_records_a_ball_image_scenario():
     spans = _spans()
     config = {"name": "contract", "domain": domain_to_json(unit_ball(2)),
               "points": {"sampler": {"count": 2, "seed": 3}}}
-    # the second slice at this l1-ball point is not coordinate-aligned, so
-    # it takes the polar search
+    # both slices at this l1-ball point have closed forms (the second is an
+    # ellipse); only the bidisc oracle's point takes the polar search
     l1 = {"name": "contract-l1", "domain": domain_to_json(L1Ball(n=2, scale=1.0)),
           "points": {"explicit": [[[0.1, 0.05], [0.0, -0.2]]]}}
+    bidisc = {"name": "contract-bidisc", "domain": domain_to_json(symmetrized_bidisc()),
+              "points": {"explicit": [[[0.2, 0.1], [0.05, -0.02]]]},
+              "checks": ["theorem_ge"]}
     with spans.LatencyRecorder() as latency, spans.Tracer() as tracer:
         run_scenario(config, workers=1)
         ball_rows = tracer.counts["sample_rows_returned"]
         run_scenario(l1, workers=1)
+        assert tracer.calls("geometry.polar_first_exit") == 0
+        # the l1 point's kernel series computes each of the 861 moments of
+        # degree <= 40 once, through the moment method the tracer counts
+        assert tracer.counts["moment_evals"] == 861
+        run_scenario(bidisc, workers=1)
     # the unit ball's three inclusions are checked in closed form: the only
     # interior rows drawn are the scenario's two sampled points
     assert ball_rows == 2
-    assert len(latency.samples) == 3
+    assert len(latency.samples) == 4
     assert tracer.calls("normalization.build_A") == 3
     assert tracer.calls("normalization.verify") == 3
     assert tracer.calls("geometry.nearest_on_quadric") > 0
     assert tracer.calls("geometry.polar_first_exit") > 0
-    # the l1 point's kernel series computes each of the 861 moments of
-    # degree <= 40 once, through the moment method the tracer counts
-    assert tracer.counts["moment_evals"] == 861
