@@ -76,11 +76,7 @@ from .volume_elements import (
     certified_interval,
     ge_constants,
     monotonicity_bounds,
-    psi_det0_squared,
-    psi_jacobian_det,
-    psi_map,
     quotient_lower_bound,
-    scaling_bound_polydisc,
 )
 
 __all__ = [
@@ -95,9 +91,8 @@ __all__ = [
     "emit_csv", "emit_json", "errors", "evaluate_point", "exact_volume_element",
     "ge_constants", "kernel_product_bounds", "kernel_sandwich_check",
     "lemma_margins", "minimal_basis", "monotonicity_bounds", "parse_scenario",
-    "psi_det0_squared", "psi_jacobian_det", "psi_map",
     "quotient_lower_bound", "random_admissible_A", "ratio_band", "ratio_check",
-    "run_scenario", "sample_en", "sample_interior", "scaling_bound_polydisc",
+    "run_scenario", "sample_en", "sample_interior",
     "slice_distance", "supporting_normal", "symmetrized_bidisc", "unit_ball",
     "verify_normalization", "__version__",
 ]

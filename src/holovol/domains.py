@@ -261,22 +261,31 @@ class HalfspaceConvex(Domain):
 
     @cached_property
     def bounding_box(self) -> np.ndarray | None:
-        """Real (2n, 2) [min, max] box of the vertices, or None if unbounded:
-        by Stiemke's theorem {x : A x <= 0} = {0} exactly when A has full column
-        rank and A^T lambda = 0 for some lambda >= 1 (one feasibility LP)."""
-        from scipy.optimize import linprog
+        """Real (2n, 2) [min, max] box of the vertices, or None if unbounded.
+
+        By Stiemke's theorem {x : A x <= 0} = {0} exactly when A has full
+        column rank and A^T lambda = 0 for some lambda > 0, that is, when the
+        origin lies strictly inside the hull of the unit rows of A.  Qhull
+        decides that; a hull too flat for Qhull is unbounded, and so is an
+        unbounded inscribed-ball LP.  That LP, which gives Qhull the interior
+        point of the triangulation, is the one LP solved per polytope."""
+        from scipy.spatial import ConvexHull, QhullError
 
         A, _ = self._real_lp_data()
         m, d = A.shape
         if m <= d or np.linalg.matrix_rank(A) < d:
             return None
-        res = linprog(np.zeros(m), A_eq=A.T, b_eq=np.zeros(d),
-                      bounds=[(1.0, None)] * m, method="highs")
-        if res.status == 2:
+        try:
+            hull = ConvexHull(A / np.linalg.norm(A, axis=1)[:, None])
+        except QhullError:
             return None
-        if res.status != 0:
-            raise HolovolError(f"boundedness LP failed: {res.message}")
-        verts = self._triangulation[1]
+        # unit rows: a facet offset within roundoff of 0 leaves a free ray
+        if hull.equations[:, -1].max() > -1e-12:
+            return None
+        try:
+            verts = self._triangulation[1]
+        except UnboundedDomain:
+            return None
         return np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
 
     @cached_property
@@ -368,6 +377,14 @@ class HalfspaceConvex(Domain):
         room = self.offsets - (self.normals.conj() @ z).real
         with np.errstate(divide="ignore"):
             return np.min(room / np.abs(U @ self.normals.conj().T), axis=1)
+
+    def support(self, G, z):
+        """Exact on a bounded polytope, where the sup is attained at a vertex
+        (of the cached Qhull triangulation); None on an unbounded one."""
+        if not self.bounded:
+            return None
+        verts = self._triangulation[1].view(np.complex128)
+        return np.max((G @ (verts - z).T).real, axis=1)
 
     def to_json(self) -> dict:
         return {**super().to_json(),
@@ -548,6 +565,10 @@ class L1Ball(Domain):
     def outward_normal(self, p, constraint_index=None):
         return np.array([phase(c) if abs(c) > 0 else 0.0 for c in p],
                         dtype=np.complex128)
+
+    def support(self, G, z):
+        """sup of Re g.x over the ball is s max_k |g_k|."""
+        return self.scale * np.max(np.abs(G), axis=1) - (G @ z).real
 
     def to_json(self) -> dict:
         return {**super().to_json(), "scale": self.scale}

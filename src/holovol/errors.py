@@ -78,10 +78,6 @@ class TailDiverges(HolovolError):
     """Kernel series shells do not exhibit a contracting ratio."""
 
 
-class Pole(HolovolError):
-    """Rational normalization map evaluated at its pole."""
-
-
 class ConfigInvalid(HolovolError):
     """Scenario configuration failed validation."""
 

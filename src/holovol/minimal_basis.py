@@ -112,10 +112,10 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     ratios = np.where(valid, beta / np.where(valid, pn, 1.0), np.inf)
     i = int(np.argmin(ratios))
     tau = float(ratios[i])
-    # nearest point: z + beta * P a_i / |P a_i|^2
+    # nearest point: z + beta * P a_i / |P a_i|^2, in direction P a_i
     Pa = V @ (V.conj().T @ domain.normals[i])
     p = z + beta[i] * Pa / (pn[i] ** 2)
-    return SliceDistance(tau, p, "halfspace", constraint_index=i)
+    return SliceDistance(tau, p, "halfspace", constraint_index=i, direction=Pa)
 
 
 def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:

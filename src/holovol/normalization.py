@@ -1,10 +1,10 @@
 """Affine normalization built on the iterated slice distances.
 
 T maps the frame points p^j - z to the standard basis (rows are
-conj(p^j - z)/tau_j^2, so |det T| = 1/prod tau_j).  Each coordinate disc
-D e_j lies in T(D - z) because the slice ball of radius tau_j sits inside
-the domain, hence the open unit l1 ball E_n = {sum |w_j| < 1} is contained
-in T(D - z) whenever D is convex.
+conj(d^j)/tau_j with d^j the unit frame directions, so |det T| =
+1/prod tau_j).  Each coordinate disc D e_j lies in T(D - z) because the slice
+ball of radius tau_j sits inside the domain, hence the open unit l1 ball
+E_n = {sum |w_j| < 1} is contained in T(D - z) whenever D is convex.
 
 A is the lower-triangular unit-diagonal matrix assembled from supporting
 hyperplanes at the frame points.  Its subdiagonal entries have modulus at
@@ -51,12 +51,13 @@ def c_n(n: int) -> float:
 
 
 def build_T(basis: MinimalBasis) -> np.ndarray:
-    diffs = basis.boundary_points - basis.base_point[None, :]
+    """Rows conj(d^j)/tau_j, so T (p^j - z) = e_j.  Taken from the directions,
+    not from p^j - z: near the boundary that difference keeps only eps|z|/tau_j
+    of its phase, which a far point x of D multiplies by |x - z|/tau_j."""
     taus = basis.taus
     if np.any(taus <= 0):
         raise SingularBasis("nonpositive slice distance")
-    T = np.conj(diffs) / (taus ** 2)[:, None]
-    return T
+    return np.conj(basis.directions) / taus[:, None]
 
 
 def _oracle_normal(domain: MembershipOracle, basis: MinimalBasis, j: int) -> np.ndarray:
@@ -93,7 +94,7 @@ def supporting_normal(domain: Domain, basis: MinimalBasis, j: int) -> np.ndarray
     Closed form on the geometric backends, exit derivatives on convex oracles.
     Returns nu with <nu, d^j> real positive and no components along the later
     directions d^k, k > j; that the hyperplane supports the domain is tested
-    on interior samples by :func:`verify_normalization` (iii).
+    by :func:`verify_normalization` (iii).
     """
     if domain.variant == "oracle":
         nu = _oracle_normal(domain, basis, j)
@@ -223,11 +224,11 @@ def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalizatio
     (ii)  (1/c_n) B^n subset A(E_n): :func:`lemma_bound`, else A^{-1} on a
           sampled near-extremal sphere.
     (iii) A(T(D - z)) subset {Re W_j < 1}, which tests the normals behind A:
-          margin 1 - max_j ``domain.support`` of the rows of A T, else interior
-          samples pushed forward.  Polytopes and l1 balls stay sampled because
-          :func:`supporting_normal` may tilt their normals by up to SUPPORT_TOL,
-          which an exact test shows (margins to -1.1e-6 on random polytopes);
-          the Siegel support function is finite only where Re g_n = 0 exactly.
+          margin 1 - max_j ``domain.support`` of the rows of A T, exact on
+          ball images, polydiscs, l1 balls and bounded polytopes (the max over
+          their vertices); else interior samples pushed forward: on the Siegel
+          half-space, whose support function is finite only where Re g_n = 0
+          exactly, on unbounded polytopes and on oracles.
 
     Raises InclusionViolated with a witness when a margin dips below -tol.
     """

@@ -10,9 +10,8 @@ element.  Intervals are widened outward by :func:`compound_slack`: the relative
 tau error eps of the basis (``MinimalBasis.tau_rel_err``) enters p_D^2 as
 (1 + eps)^(2n), and a fixed factor 1 + 1e-9 covers floating-point roundoff.
 
-Also here: the quotient lower bounds mu_n / nu_n, the diameter corollary, the
-inscribed/circumscribed-ball monotonicity interval, and the two proof-device
-maps (the component-wise Moebius map Psi and the 1/sqrt(n) polydisc scaling).
+Also here: the quotient lower bounds mu_n / nu_n, the diameter corollary and
+the inscribed/circumscribed-ball monotonicity interval.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domains import CONVEX, C_CONVEX, OVERFLOW_LIMIT
-from .errors import BadDimension, Pole, UnboundedDomain
-from .linalg import as_cvector
+from .errors import BadDimension, UnboundedDomain
 
 
 def _cap(x: float) -> float:
@@ -151,36 +147,3 @@ def monotonicity_bounds(basis, circumscribed: float) -> Interval:
     hi = _cap(tau1 ** (-2 * n))
     slack = compound_slack(basis.tau_rel_err, n)
     return Interval.certified(lo, hi, slack)
-
-
-def psi_map(z) -> np.ndarray:
-    """Component-wise Moebius map z_j -> z_j/(2 - z_j).
-
-    Sends the product of half-planes {Re z_j < 1} biholomorphically onto the
-    unit polydisc, fixing 0; |z/(2-z)| < 1 is equivalent to Re z < 1.
-    """
-    z = as_cvector(z)
-    den = 2.0 - z
-    if np.any(np.abs(den) < 1e-12):
-        raise Pole("psi has a pole at z_j = 2")
-    return z / den
-
-
-def psi_jacobian_det(z) -> complex:
-    """det of the derivative of psi_map; each factor is 2/(2 - z_j)^2."""
-    z = as_cvector(z)
-    den = 2.0 - z
-    if np.any(np.abs(den) < 1e-12):
-        raise Pole("psi has a pole at z_j = 2")
-    return complex(np.prod(2.0 / den ** 2))
-
-
-def psi_det0_squared(n: int) -> float:
-    """|det psi'(0)|^2 = 2^(-2n), the exact loss of the half-plane reduction."""
-    return 4.0 ** (-n)
-
-
-def scaling_bound_polydisc(n: int) -> float:
-    """v of the unit polydisc at 0 is at least n^-n (scale by 1/sqrt(n) into
-    the ball and use monotonicity)."""
-    return float(n) ** (-n)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 
-from holovol.domains import ExactOracle
-from holovol.errors import ConfigInvalid
-from holovol.linalg import uniform_ball
+from scipy.optimize import linprog
+
+from holovol.domains import ExactOracle, HalfspaceConvex
+from holovol.errors import ConfigInvalid, HolovolError
+from holovol.linalg import as_cvector, uniform_ball
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -56,3 +58,60 @@ def secular_numpy(t, lam, phi2, g):
         terms = np.where(phi2 > 0.0, num / np.maximum(den, 1e-300), 0.0)
     s = float(np.sum(terms))
     return math.inf if not np.isfinite(s) else s + g
+
+
+def stiemke_bounded(dom: HalfspaceConvex) -> bool:
+    """Reference boundedness test for a halfspace domain: by Stiemke's theorem
+    {x : A x <= 0} = {0} exactly when A has full column rank and
+    A^T lambda = 0 for some lambda >= 1 (one feasibility LP)."""
+    A = np.ascontiguousarray(dom.normals).view(np.float64)
+    m, d = A.shape
+    if m <= d or np.linalg.matrix_rank(A) < d:
+        return False
+    res = linprog(np.zeros(m), A_eq=A.T, b_eq=np.zeros(d),
+                  bounds=[(1.0, None)] * m, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+# ---------------------------------------------------------------------------
+# the proof devices of the half-space reduction: the component-wise Moebius
+# map Psi and the 1/sqrt(n) polydisc scaling
+# ---------------------------------------------------------------------------
+
+
+class Pole(HolovolError):
+    """Rational normalization map evaluated at its pole."""
+
+
+def psi_map(z) -> np.ndarray:
+    """Component-wise Moebius map z_j -> z_j/(2 - z_j).
+
+    Sends the product of half-planes {Re z_j < 1} biholomorphically onto the
+    unit polydisc, fixing 0; |z/(2-z)| < 1 is equivalent to Re z < 1.
+    """
+    z = as_cvector(z)
+    den = 2.0 - z
+    if np.any(np.abs(den) < 1e-12):
+        raise Pole("psi has a pole at z_j = 2")
+    return z / den
+
+
+def psi_jacobian_det(z) -> complex:
+    """det of the derivative of psi_map; each factor is 2/(2 - z_j)^2."""
+    z = as_cvector(z)
+    den = 2.0 - z
+    if np.any(np.abs(den) < 1e-12):
+        raise Pole("psi has a pole at z_j = 2")
+    return complex(np.prod(2.0 / den ** 2))
+
+
+def psi_det0_squared(n: int) -> float:
+    """|det psi'(0)|^2 = 2^(-2n), the exact loss of the half-plane reduction."""
+    return 4.0 ** (-n)
+
+
+def scaling_bound_polydisc(n: int) -> float:
+    """v of the unit polydisc at 0 is at least n^-n (scale by 1/sqrt(n) into
+    the ball and use monotonicity)."""
+    return float(n) ** (-n)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from helpers import random_unitary, validate_oracle
+from helpers import random_unitary, stiemke_bounded, validate_oracle
 from test_acceptance import random_simplex_containing_zero
 from test_harness import STRIP
 from test_normalization import random_bounded_halfspace
@@ -412,6 +412,35 @@ def test_halfspace_boundedness():
                            offsets=np.ones(6))
     assert not cone.bounded
     assert not domain_from_json(STRIP).bounded
+
+
+def _one_free_ray_cone(rng, d):
+    """Full-rank rows of R^d whose cone {x : A x <= 0} is the ray Q e_1:
+    rows (0, b) that positively span e_1's complement, plus rows (-c, b)."""
+    b = rng.normal(size=(d, d - 1))
+    b[-1] = -b[:-1].sum(axis=0)  # 0 = sum of the rows: they positively span R^(d-1)
+    side = np.hstack([np.zeros((d, 1)), b])
+    tilt = np.hstack([-rng.uniform(0.1, 1.0, (3, 1)), rng.normal(size=(3, d - 1))])
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return np.vstack([side, tilt]) @ Q.T
+
+
+def test_hull_boundedness_agrees_with_the_stiemke_lp():
+    rng = np.random.default_rng(59)
+    verdicts = []
+    for trial in range(60):
+        n = 2 + trial % 2
+        d = 2 * n
+        rows = (_one_free_ray_cone(rng, d) if trial % 3 == 0
+                else rng.normal(size=(int(rng.integers(d + 1, 3 * d)), d)))
+        dom = HalfspaceConvex(n, normals=rows[:, 0::2] + 1j * rows[:, 1::2],
+                              offsets=rng.uniform(0.5, 2.0, rows.shape[0]))
+        assert np.linalg.matrix_rank(rows) == d
+        verdicts.append(dom.bounded)
+        assert dom.bounded == stiemke_bounded(dom), trial
+    assert 10 <= sum(verdicts) <= 50  # both outcomes are exercised
+    strip = domain_from_json(STRIP)
+    assert not strip.bounded and not stiemke_bounded(strip)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from holovol import normalization
 from holovol.domains import (
     AffineBallImage,
     HalfspaceConvex,
+    L1Ball,
     MembershipOracle,
     Polydisc,
     SiegelHalfSpace,
@@ -17,6 +19,7 @@ from holovol.domains import (
     unit_ball,
 )
 from holovol.errors import InclusionViolated, UnsupportedDomain
+from holovol.harness import run_scenario
 from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.normalization import (
     beta_excess,
@@ -71,14 +74,21 @@ def test_build_T_ellipsoid_frozen():
 
 
 def test_T_maps_frame_points_to_basis_vectors():
+    # z = 0, so p^j - z = p^j carries no cancellation: T (p^k - z) = e_k to
+    # rounding, relative to tau_k / tau_j; half the polytopes put z 1e-6
+    # inside their first facet
     rng = np.random.default_rng(61)
-    for _ in range(10):
+    for trial in range(20):
         dom = random_bounded_halfspace(rng)
+        if trial % 2:
+            dom.offsets[0] = 1e-6 * np.linalg.norm(dom.normals[0])
         z = np.zeros(2, dtype=np.complex128)
         basis = minimal_basis(dom, z)
-        T = build_T(basis)
-        img = (basis.boundary_points - z) @ T.T
-        assert np.max(np.abs(img - np.eye(2))) < 1e-9
+        img = build_T(basis) @ (basis.boundary_points - z).T
+        scale = basis.taus[None, :] / basis.taus[:, None]
+        assert np.max(np.abs(img - np.eye(2)) / scale) < 1e-12
+        if trial % 2:
+            assert basis.taus[0] < 2e-6 < basis.taus[1]
 
 
 def test_det_T_equals_inverse_distance_product():
@@ -172,7 +182,14 @@ def test_tilted_normal_fails_the_halfspace_check(monkeypatch):
     assert exc.value.margin < -0.05
 
 
-def _ball_or_polydisc(kind, n, rng):
+def _exact_support_domain(kind, n, rng):
+    """A ball image, polydisc, l1 ball or bounded polytope of C^n."""
+    if kind == "l1ball":
+        return L1Ball(n, scale=rng.uniform(0.5, 2.0))
+    if kind == "polytope":
+        a = rng.normal(size=(3 * n, n)) + 1j * rng.normal(size=(3 * n, n))
+        return HalfspaceConvex(n, normals=np.vstack([a, -a]),
+                               offsets=rng.uniform(0.5, 2.0, 6 * n))
     center = rng.normal(size=n) + 1j * rng.normal(size=n)
     if kind == "polydisc":
         return Polydisc(n, center=center, radii=rng.uniform(0.5, 2.0, n))
@@ -180,14 +197,15 @@ def _ball_or_polydisc(kind, n, rng):
     return AffineBallImage(n, matrix=M, center=center)
 
 
-@pytest.mark.parametrize("kind", ["ball_image", "polydisc"])
+@pytest.mark.parametrize("kind", ["ball_image", "polydisc", "l1ball", "polytope"])
 def test_exact_support_check_catches_every_small_tilt(kind):
     # tilting the second normal by 0.01 in normalized coordinates (A's
-    # subdiagonal entry) leaves a halfspace that cuts either body; 2,000
-    # interior samples miss most such tilts, the support function none
+    # subdiagonal entry) leaves a halfspace that cuts the body at the
+    # second frame point; 2,000 interior samples miss most such tilts, the
+    # support function none
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        dom = _ball_or_polydisc(kind, 2, rng)
+        dom = _exact_support_domain(kind, 2, rng)
         basis = minimal_basis(dom, sample_interior(dom, 1, rng)[0])
         norm = build_A(dom, basis)
         norm.A[1, 0] += 0.01 * np.exp(2j * np.pi * rng.random())
@@ -214,12 +232,7 @@ def test_exact_margins_never_exceed_sampled_ones(seed, kind, n):
         z[:-1] = 0.5 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
         z[-1] = rng.normal() + 1j * (np.sum(np.abs(z[:-1]) ** 2) + rng.uniform(0.1, 2.0))
     else:
-        if kind == "polytope":
-            a = rng.normal(size=(3 * n, n)) + 1j * rng.normal(size=(3 * n, n))
-            dom = HalfspaceConvex(n, normals=np.vstack([a, -a]),
-                                  offsets=rng.uniform(0.5, 2.0, 6 * n))
-        else:
-            dom = _ball_or_polydisc(kind, n, rng)
+        dom = _exact_support_domain(kind, n, rng)
         z = sample_interior(dom, 1, rng)[0]
     basis = minimal_basis(dom, z)
     norm = build_A(dom, basis)
@@ -231,12 +244,85 @@ def test_exact_margins_never_exceed_sampled_ones(seed, kind, n):
     # E_n touches the boundary at the frame points, so rho = 1 up to rounding
     assert abs(exact["en_margin"]) < 1e-9
     parts = ["en", "lemma"]
-    if kind in ("ball_image", "polydisc"):
+    if kind != "siegel":
         # so do the supporting hyperplanes
         assert exact["halfspace_mode"] == "exact" and abs(exact["halfspace_margin"]) < 1e-9
         parts.append("halfspace")
     for part in parts:
         assert exact[f"{part}_margin"] <= sampled[f"{part}_margin"] + 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polytope_support_matches_a_support_lp(n):
+    # sup over D of Re g.(x - z) in real coordinates x = (Re x_1, Im x_1, ...):
+    # Re g_k x_k = Re g_k Re x_k - Im g_k Im x_k
+    rng = np.random.default_rng(89 + n)
+    for _ in range(8):
+        dom = _exact_support_domain("polytope", n, rng)
+        z = sample_interior(dom, 1, rng)[0]
+        G = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        h = dom.support(G, z)
+        A = np.ascontiguousarray(dom.normals).view(np.float64)
+        for g, hg in zip(G, h):
+            c = np.empty(2 * n)
+            c[0::2], c[1::2] = g.real, -g.imag
+            res = linprog(-c, A_ub=A, b_ub=dom.offsets, bounds=[(None, None)] * (2 * n),
+                          method="highs")
+            assert res.status == 0
+            assert hg == pytest.approx(-res.fun - (g @ z).real, rel=1e-9, abs=1e-9)
+
+
+def test_unbounded_polytope_has_no_support_function():
+    assert square_domain().support(np.eye(2, dtype=np.complex128),
+                                   np.zeros(2, dtype=np.complex128)) is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_l1_support_matches_a_boundary_brute_force(n):
+    # a linear functional peaks over the l1 ball at an extreme point
+    # s e^{i theta} e_k; 4,096 phases come within s|g_k|(1 - cos(pi/4096))
+    rng = np.random.default_rng(97 + n)
+    theta = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    for _ in range(10):
+        dom = L1Ball(n, scale=rng.uniform(0.5, 2.0))
+        z = sample_interior(dom, 1, rng)[0]
+        G = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+        h = dom.support(G, z)
+        for g, hg in zip(G, h):
+            brute = max(float(np.max((dom.scale * theta * gk).real)) for gk in g) \
+                - (g @ z).real
+            assert brute <= hg + 1e-12
+            assert hg - brute <= 1e-6 * dom.scale * np.abs(g).max()
+
+
+def test_far_polytope_point_passes_the_exact_support_test():
+    # polytope_normalize stream entry 175 of seed 4: at z, tau_1 = 2.5e-4 and
+    # a vertex ~24 away has |Im W_1| = 2.7e4; a T built from p^1 - z tilts
+    # row 1's phase by ~4e-11, which put this point's exact margin at
+    # -1.12e-6, an InclusionViolated
+    config = {
+        "name": "polytope-175",
+        "domain": {"variant": "halfspace", "n": 2, "constraints": [
+            {"a": [[0.4944637409542617, 0.15384397920428006],
+                   [0.08133130876545595, 0.8516001744707477]], "b": 1.3834221578921189},
+            {"a": [[-0.2195239337106626, -0.8539887804336057],
+                   [0.41788610080035493, 0.2188232441483194]], "b": 0.6390903831330559},
+            {"a": [[0.8626294729123656, -0.4905847638261245],
+                   [0.12323583993179964, 0.0031479709184953015]], "b": 1.4466645294889842},
+            {"a": [[0.25596040131585657, 0.8739468550447026],
+                   [-0.38943340425135703, -0.13799562010766256]], "b": 1.9232346408247498},
+            {"a": [[-0.909521526184197, 0.16017634028033206],
+                   [-0.09157746965120704, -0.37246167651753154]], "b": 1.7541439018284426}]},
+        "points": {"sampler": {"count": 2, "seed": 472526613}},
+        "checks": ["normalization"],
+    }
+    point = run_scenario(config, workers=1, seed=0)["points"][0]
+    assert point["taus"][0] == pytest.approx(2.5074e-4, rel=1e-4)
+    check = point["checks"]["normalization"]
+    assert "error" not in check, check["error"]
+    assert check["halfspace_mode"] == "exact"
+    assert check["halfspace_margin"] >= -1e-9
+    assert check["pass"] is True
 
 
 def test_lemma_bound_matches_a_phase_brute_force():

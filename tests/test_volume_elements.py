@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import (
+    Pole,
+    psi_det0_squared,
+    psi_jacobian_det,
+    psi_map,
+    scaling_bound_polydisc,
+)
 
 from holovol.domains import (
     AffineBallImage,
@@ -13,7 +20,7 @@ from holovol.domains import (
     sample_interior,
     unit_ball,
 )
-from holovol.errors import BadDimension, Pole, UnboundedDomain
+from holovol.errors import BadDimension, UnboundedDomain
 from holovol.linalg import uniform_ball
 from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.normalization import build_A
@@ -25,11 +32,7 @@ from holovol.volume_elements import (
     compound_slack,
     ge_constants,
     monotonicity_bounds,
-    psi_det0_squared,
-    psi_jacobian_det,
-    psi_map,
     quotient_lower_bound,
-    scaling_bound_polydisc,
 )
 
 
