@@ -242,9 +242,13 @@ def bergman_closed(domain: Domain, z) -> BergmanValue:
     if domain.variant == "polydisc":
         if not contains(domain, z):
             raise PointOutsideDomain("Bergman kernel evaluated outside the domain")
-        rel2 = np.abs(z - domain.center) ** 2
-        r2 = domain.radii ** 2
-        value = float(np.prod(r2 / (math.pi * (r2 - rel2) ** 2)))
+        # product of disc kernels 1/(pi r^2 (1 - u^2)^2), u = |z_k - c_k|/r_k
+        u = (np.abs(z - domain.center) / domain.radii).tolist()
+        value = math.prod(1.0 / (math.pi * (r * (1.0 - uk) * (1.0 + uk)) ** 2)
+                          for r, uk in zip(domain.radii.tolist(), u))
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise UnsupportedDomain(
+                f"polydisc kernel {value:g} leaves the normal double range")
         return BergmanValue(value, 0.0, "closed_form")
     oracle = domain.exact_oracle
     if oracle is None:

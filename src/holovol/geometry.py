@@ -5,16 +5,14 @@ point to the domain boundary within an affine complex slice:
 
 * :func:`nearest_on_quadric` solves the smooth-backend case exactly.  Ball
   images and the Siegel half-space restrict to a real quadric constraint
-  ``q(xi) = xi^T H xi + 2 phi . xi + g = 0`` (H PSD, g < 0 inside) and the
-  minimum-norm boundary point satisfies the secular equation
-  ``xi(t) = t (I - t H)^{-1} phi`` with q(xi(t)) strictly increasing in t on
-  [0, 1/lambda_max) -- a one-constraint trust-region-style projection solved by
-  bisection until the bracket on t is two adjacent floats, with the classical
-  hard case (top eigencomponents of phi vanish) handled explicitly.  Near
-  the hard case, where 1 - t lambda_max is too small for a float t to
-  resolve, the root is solved again in eps = 1/t - lambda_max.  After one
-  ``eigh``, each of the ~55 evaluations of q is a scalar loop over at most
-  six Python floats, added left to right.
+  ``q(xi) = xi^T H xi + 2 phi . xi + g = 0`` (H PSD, g < 0 inside).  In the
+  eigenbasis of H the minimum-norm boundary point is
+  xi_k = phi_k / (eps + lambda_max - lambda_k), where eps > 0 is the root of
+  the secular equation of this one-constraint trust-region projection (More
+  & Sorensen 1983).  One bisection in eps runs to adjacent floats, and the
+  classical hard case (top eigencomponents of phi vanish) is handled
+  explicitly.  After one ``eigh``, each of the ~50 evaluations of q is a
+  scalar loop over at most six Python floats, added left to right.
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
@@ -41,10 +39,6 @@ import numpy as np
 from .errors import Unbounded
 from .linalg import join_complex
 
-_TINY = 1e-300
-#: below this 1 - t lambda_max the secular root is solved again in 1/t - lambda_max
-_NEAR_POLE = 1e-3
-
 #: about GRID_PER_DIM^k directions in the initial grid of a k-dimensional slice
 GRID_PER_DIM = 64
 #: most rays in a direction grid or refinement stencil
@@ -57,101 +51,75 @@ MARCH_STEPS = 64
 CHUNK = 200_000
 
 
-def _secular(t, lam, phi2, g):
-    """q(xi(t)) on the bisection branch; +inf near poles, phi2==0 terms are 0.
-
-    lam and phi2 are lists of at most six Python floats, which cost less
-    here than arrays.  The terms are summed left to right, the order np.sum
-    uses on so few, so the loop matches the array form bit for bit.
-    """
-    s = 0.0
-    for lk, pk in zip(lam, phi2):
-        if pk > 0.0:
-            u = 1.0 - t * lk
-            s += pk * t * (2.0 - lk * t) / max(u * u, _TINY)
-    return s + g if math.isfinite(s) else math.inf
-
-
-def _secular_near_pole(eps, gaps, lam, phi2, g):
+def _secular_eps(eps, gaps, lam, phi2, g):
     """q(xi) at xi_k = phi_k / d_k, d_k = eps + (lmax - lam_k): the secular
-    function in eps = 1/t - lmax, where each term is phi_k^2 (2 d_k + lam_k) / d_k^2."""
+    function in eps = 1/t - lmax, where each term is phi_k^2 (2 d_k + lam_k) / d_k^2.
+
+    gaps, lam and phi2 are lists of at most six Python floats, which cost less
+    here than arrays.  The terms are summed left to right, the order np.sum
+    uses on so few, so the loop matches the array form bit for bit.  A zero
+    d_k is guarded, phi2 == 0 terms are 0, and a sum that overflows is +inf.
+    """
     s = 0.0
     for gk, lk, pk in zip(gaps, lam, phi2):
         if pk > 0.0:
             d = eps + gk
-            s += pk * (2.0 * d + lk) / max(d * d, _TINY)
+            s += pk * (2.0 * d + lk) / max(d * d, 1e-300)
     return s + g if math.isfinite(s) else math.inf
 
 
 def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
     """Minimum-norm xi with xi^T H xi + 2 phi.xi + g = 0 (H PSD, g < 0).
 
-    The secular root t is bisected until its bracket ends are adjacent floats,
-    where a further step would move neither.  If then 1 - t lmax < _NEAR_POLE,
-    the root is bisected again, to adjacent floats, in eps = 1/t - lmax,
-    where the top components phi_k / eps keep full relative precision.  Raises Unbounded when the
-    constraint set is empty on every ray (H == 0 and phi == 0, i.e. the slice
-    never meets the boundary).  Ties in the hard case are broken by projecting
-    the first standard basis vector onto the top eigenspace, which is
-    deterministic and reproduces e_1-style choices at fully symmetric
-    configurations.
+    xi is rescaled by a power of two so that max|H| is about 1; that is exact,
+    so no test below depends on the size of the domain.  The constraint is
+    affine when lmax |g| <= 1e-15 |phi|^2, and Unbounded is raised only when
+    H == 0 and phi == 0.  Otherwise q decreases in eps = 1/t - lmax, and is
+    bisected until the ends are adjacent floats, from 1e-13 lmax up to
+    4P/|g| + sqrt(2 P lmax/|g|), P = |phi|^2.  There q <= 0, as each term
+    phi_k^2 (2/d_k + lam_k/d_k^2) is at most phi_k^2 (2/eps + lmax/eps^2), and
+    the affine test keeps that end finite.  If q <= 0 already at 1e-13 lmax,
+    phi has (numerically) no top eigencomponent: the hard case, whose ties are
+    broken deterministically by projecting e_1, e_2, ... onto the top
+    eigenspace, which reproduces e_1-style choices at symmetric configurations.
     """
-    if g >= 0:
+    if not g < 0:
         raise ValueError("quadric projection expects an interior point (g < 0)")
+    hmax = float(np.max(np.abs(H)))
+    e = -(math.frexp(hmax)[1] // 2)  # xi = 2^e eta; frexp(0) gives e = 0
+    H, phi = np.ldexp(H, 2 * e), np.ldexp(phi, e)
     lam, Q = np.linalg.eigh(H)
     lam = np.clip(lam, 0.0, None)
     lmax = float(lam[-1])
-    scale = max(lmax, float(np.linalg.norm(phi)), 1.0)
-    phit = Q.T @ phi
-    if lmax <= 1e-15 * scale:
+    n2 = float(phi @ phi)
+    if lmax * -g <= 1e-15 * n2:
         # constraint is affine: 2 phi.xi + g = 0
-        n2 = float(phi @ phi)
-        if n2 <= 1e-30 * scale * scale:
+        if n2 == 0.0:
             raise Unbounded("slice constraint is identically negative (complex line inside)")
-        return (-g / (2.0 * n2)) * phi
-    lam_s, phi2 = lam.tolist(), (phit ** 2).tolist()
-    t_end = (1.0 - 1e-13) / lmax
-    if _secular(t_end, lam_s, phi2, g) <= 0.0:
-        # hard case: phi has (numerically) no component in the top eigenspace.
+        return np.ldexp((-g / (2.0 * n2)) * phi, e)
+    phit = Q.T @ phi
+    gaps, lam_s, phi2 = (lmax - lam).tolist(), lam.tolist(), (phit ** 2).tolist()
+    lo = 1e-13 * lmax
+    if _secular_eps(lo, gaps, lam_s, phi2, g) <= 0.0:
+        # hard case: the regular components at eps = 0, phi_i / (lmax - lam_i),
+        # then a step along the top eigenspace that closes q
         top = lam >= lmax * (1.0 - 1e-10)
-        # regular components at t = 1/lmax: xi_i = phi_i / (lmax - lam_i)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi_t = np.where(top, 0.0, phit / (lmax - lam))
-        xi_reg = Q @ xi_t
+        xi_reg = Q @ np.where(top, 0.0, phit / np.where(top, 1.0, lmax - lam))
         q_reg = float(xi_reg @ (H @ xi_reg) + 2.0 * phi @ xi_reg + g)
-        deficit = max(-q_reg, 0.0)
-        alpha = math.sqrt(deficit / lmax)
-        # deterministic unit vector in the top eigenspace: project e_1, e_2, ...
+        # deterministic unit vector in the top eigenspace: the projection of
+        # the first e_m that has a component there
         Qtop = Q[:, top]
-        for m in range(Q.shape[0]):
-            v = Qtop @ Qtop[m, :]
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-3:
-                break
-        return xi_reg + alpha * (v / nv)
-    lo, hi = 0.0, t_end
+        v = Qtop @ Qtop[int(np.argmax(np.linalg.norm(Qtop, axis=1) > 1e-3))]
+        xi = xi_reg + math.sqrt(max(-q_reg, 0.0) / lmax) * (v / np.linalg.norm(v))
+        return np.ldexp(xi, e)
+    hi = 4.0 * n2 / -g + math.sqrt(2.0 * n2 * lmax / -g)
     while math.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
-        if _secular(mid, lam_s, phi2, g) < 0.0:
+        if _secular_eps(mid, gaps, lam_s, phi2, g) > 0.0:
             lo = mid
         else:
             hi = mid
-    t = 0.5 * (lo + hi)
-    if 1.0 - t * lmax >= _NEAR_POLE:
-        return Q @ (t * phit / (1.0 - t * lam))
-    # near the hard case 1 - t lmax is a difference of nearly equal floats,
-    # so the top components t phi_k / (1 - t lam_k) lose their relative
-    # precision.  In eps = 1/t - lmax they are phi_k / eps, exact to
-    # rounding: bisect q in eps, decreasing, with its root below 2 NEAR_POLE lmax
-    gaps = (lmax - lam).tolist()
-    lo, hi = 0.0, 2.0 * _NEAR_POLE * lmax
-    while math.nextafter(lo, hi) != hi:
-        mid = 0.5 * (lo + hi)
-        if _secular_near_pole(mid, gaps, lam_s, phi2, g) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return Q @ (phit / (0.5 * (lo + hi) + (lmax - lam)))
+    return np.ldexp(Q @ (phit / (0.5 * (lo + hi) + (lmax - lam))), e)
 
 
 # ---------------------------------------------------------------------------

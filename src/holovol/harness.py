@@ -248,6 +248,10 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
         return rec
     n = basis.n
     pD = distance_product(basis)
+    if not math.isfinite(pD):
+        rec["error"] = _error(UnsupportedDomain(
+            f"distance product p_D = {pD:g} leaves the double range"))
+        return rec
     cls = domain.convexity_class
     rec.update(taus=[float(t) for t in basis.taus], p_D=pD,
                approximate=basis.approximate, methods=list(basis.methods))

@@ -14,16 +14,18 @@ Slice-distance kernels, keyed by ``Domain.variant`` in :data:`SLICE_KERNELS`
 halfspace       closed form min_i (b_i - Re<z,a_i>) / |P a_i|
 ball_image      quadric projection (see geometry.nearest_on_quadric)
 siegel          quadric projection (PSD Hessian + linear term)
-polydisc        closed form on coordinate-aligned slices, polar otherwise
-l1ball          closed form on coordinate-aligned slices; at n = 2 the second
-                slice is an ellipse, solved in closed form ("ellipse");
-                polar otherwise
+polydisc        support-function duality on every slice ("support"):
+                min_k (r_k - |z_k - c_k|) / |row_k V|
+l1ball          closed form (s - |z|_1)/sqrt(k) when V spans k coordinate
+                axes ("aligned"); at n = 2 the second slice is an ellipse,
+                solved in closed form ("ellipse"); polar otherwise
 oracle          polar first-exit search (approximate, flagged)
 ==============  ==============================================================
 
-The quadric projection bisects its secular equation until the bracket ends
-are adjacent floats.  The polar search follows the fixed policy of the
-``geometry`` module constants; nothing here takes a search setting.
+The quadric projection bisects its secular equation, in one scale-free
+variable, until the bracket ends are adjacent floats.  The polar search
+follows the fixed policy of the ``geometry`` module constants; nothing here
+takes a search setting.
 """
 
 from __future__ import annotations
@@ -76,28 +78,11 @@ TAU_MIN = 1e-10
 class SliceDistance:
     tau: float
     p: np.ndarray
-    method: str            # "halfspace" | "quadric" | "aligned" | "ellipse" | "polar"
+    method: str            # "halfspace" | "quadric" | "support" | "aligned" | "ellipse" | "polar"
     constraint_index: int | None = None
     #: p - z up to a positive factor, where the kernel knows it exactly; near
     #: the boundary the difference p - z keeps only eps|z|/tau of it
     direction: np.ndarray | None = None
-
-
-def _aligned_coordinates(V: np.ndarray) -> list[int] | None:
-    """If every column of V is a phase times a standard basis vector, return the
-    coordinate indices (distinct); otherwise None."""
-    n, k = V.shape
-    idx = []
-    for col in range(k):
-        v = V[:, col]
-        j = int(np.argmax(np.abs(v)))
-        if abs(abs(v[j]) - 1.0) > 1e-12:
-            return None
-        rest = np.abs(v) ** 2
-        if rest.sum() - rest[j] > 1e-24:
-            return None
-        idx.append(j)
-    return idx if len(set(idx)) == k else None
 
 
 def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
@@ -118,48 +103,48 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     return SliceDistance(tau, p, "halfspace", constraint_index=i, direction=Pa)
 
 
+def _quadric_slice(z, V, H, w_lin, g) -> SliceDistance:
+    """Nearest boundary point of a slice z + V c whose boundary is the
+    quadric c* H c + Re(sum_j w_lin_j c_j) + g = 0 (g < 0 at c = 0)."""
+    xi = nearest_on_quadric(*real_form(H, w_lin, g))
+    return SliceDistance(float(np.linalg.norm(xi)), z + V @ join_complex(xi), "quadric")
+
+
 def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
     B = domain._inv @ V
     w0 = domain.to_ball(z[None, :])[0]
     g = float(np.sum(np.abs(w0) ** 2)) - 1.0
     if g >= 0:
         raise PointOutsideDomain("point outside the ball image")
-    H = B.conj().T @ B
-    w_lin = 2.0 * (B.T @ np.conj(w0))
-    Hr, phi, gr = real_form(H, w_lin, g)
-    xi = nearest_on_quadric(Hr, phi, gr)
-    c = join_complex(xi)
-    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric")
+    return _quadric_slice(z, V, B.conj().T @ B, 2.0 * (B.T @ np.conj(w0)), g)
 
 
 def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
     g = -float(domain.defect(z[None, :])[0])  # negative inside
     B = V[:-1, :]
-    vrow = V[-1, :]
-    H = B.conj().T @ B
-    w_lin = 2.0 * (B.T @ np.conj(z[:-1])) + 1j * vrow
-    Hr, phi, gr = real_form(H, w_lin, g)
-    xi = nearest_on_quadric(Hr, phi, gr)
-    c = join_complex(xi)
-    return SliceDistance(float(np.linalg.norm(xi)), z + V @ c, "quadric")
+    w_lin = 2.0 * (B.T @ np.conj(z[:-1])) + 1j * V[-1, :]
+    return _quadric_slice(z, V, B.conj().T @ B, w_lin, g)
 
 
 def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
-    coords = _aligned_coordinates(V)
-    if coords is None:
-        return _polar_slice(domain, z, V)
+    """Support-function duality: coordinate k bounds the slice through the
+    halfspaces Re<e^{i phi} e_k, w - c> < r_k, and the infimum over phi of
+    their distances within the slice is (r_k - |z_k - c_k|) / |row_k V|,
+    reached along V conj(V_k) phase(z_k - c_k)."""
     rel = z - domain.center
-    slack = domain.radii[coords] - np.abs(rel[coords])
-    i = int(np.argmin(slack))
-    j = coords[i]
-    p = z.copy()
-    p[j] = domain.center[j] + domain.radii[j] * phase(rel[j])
-    return SliceDistance(float(slack[i]), p, "aligned")
+    rows = np.linalg.norm(V, axis=1)
+    ratios = np.divide(domain.radii - np.abs(rel), rows, out=np.full(rows.shape, np.inf),
+                       where=rows > 0.0)
+    j = int(np.argmin(ratios))
+    tau = float(ratios[j])
+    d = V @ np.conj(V[j]) * phase(rel[j])
+    return SliceDistance(tau, z + (tau / rows[j]) * d, "support", direction=d)
 
 
 def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
-    coords = _aligned_coordinates(V)
-    if coords is None:
+    rows = np.linalg.norm(V, axis=1)
+    axes = np.abs(rows - 1.0) <= 1e-12
+    if not np.all(axes | (rows <= 1e-12)):
         if V.shape == (2, 1):
             # omega_1 - omega_2 = <u, phase(z)>: the line is orthogonal to the
             # first direction, as at minimal_basis's second step
@@ -169,15 +154,12 @@ def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
             if abs(omega1 - omega2) <= 1e-12:
                 return _l1_ellipse_slice(domain.scale, z, V[:, 0], 0.5 * (omega1 + omega2))
         return _polar_slice(domain, z, V)
+    # V spans the coordinate axes where |row_k V| = 1: every face normal
+    # (phases) projects to length sqrt(k) there, so tau = (s - |z|_1)/sqrt(k)
     slack = domain.scale - float(np.sum(np.abs(z)))  # positive inside
-    k = len(coords)
-    step = slack / k
-    p = z.copy()
-    d = np.zeros_like(z)
-    for j in coords:
-        d[j] = phase(z[j])
-        p[j] = z[j] + step * d[j]
-    return SliceDistance(slack / math.sqrt(k), p, "aligned", direction=d)
+    k = int(axes.sum())
+    d = np.where(axes, [phase(c) for c in z], 0.0)
+    return SliceDistance(slack / math.sqrt(k), z + (slack / k) * d, "aligned", direction=d)
 
 
 def _l1_ellipse_slice(s: float, z, u, omega: complex) -> SliceDistance:
@@ -332,6 +314,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
 
 
 def distance_product(basis: MinimalBasis) -> float:
-    """Product of the slice distances (the invariant the bounds divide by)."""
-    return float(np.prod(basis.taus))
+    """Product of the slice distances (the invariant the bounds divide by);
+    inf, without a warning, when it overflows."""
+    return math.prod(basis.taus.tolist())
 

@@ -48,14 +48,13 @@ def validate_oracle(oracle: ExactOracle, *, points: int = 100, seed: int = 0,
     return worst
 
 
-def secular_numpy(t, lam, phi2, g):
-    """The array form of ``geometry._secular``, kept as its reference: the
-    scalar loop must match it bit for bit.  lam and phi2 may be lists."""
-    lam, phi2 = np.asarray(lam, dtype=float), np.asarray(phi2, dtype=float)
+def secular_numpy(eps, gaps, lam, phi2, g):
+    """The array form of ``geometry._secular_eps``, kept as its reference: the
+    scalar loop must match it bit for bit.  gaps, lam and phi2 may be lists."""
+    gaps, lam, phi2 = (np.asarray(a, dtype=float) for a in (gaps, lam, phi2))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        den = (1.0 - t * lam) ** 2
-        num = phi2 * t * (2.0 - lam * t)
-        terms = np.where(phi2 > 0.0, num / np.maximum(den, 1e-300), 0.0)
+        d = eps + gaps
+        terms = np.where(phi2 > 0.0, phi2 * (2.0 * d + lam) / np.maximum(d * d, 1e-300), 0.0)
     s = float(np.sum(terms))
     return math.inf if not np.isfinite(s) else s + g
 

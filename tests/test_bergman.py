@@ -117,6 +117,51 @@ def test_polydisc_closed_form_value():
     assert bergman_closed(P, z).value == pytest.approx(expected, rel=1e-12)
 
 
+def _polydisc_scenario(scale: float) -> dict:
+    return {"name": f"polydisc-scale-{scale:g}",
+            "domain": {"variant": "polydisc", "n": 2, "center": [[0, 0], [0, 0]],
+                       "radii": [scale, 0.5 * scale]},
+            "points": {"sampler": {"count": 3, "seed": 1}}}
+
+
+def test_polydisc_closed_form_at_large_radii():
+    # (r^2 - |z - c|^2)^2 overflowed from radii 1e78 up, so K read 0 and the
+    # ratio check divided by it; per coordinate in units of r_k the kernel
+    # scales as s^-4 until it leaves the normal double range
+    z = np.array([0.3 + 0.1j, 0.1 - 0.05j])
+
+    def kernel(s):
+        P = Polydisc(2, center=np.zeros(2, dtype=np.complex128), radii=s * np.array([1.0, 0.5]))
+        return bergman_closed(P, s * z).value
+
+    unit = kernel(1.0)
+    for s in (1e-60, 1e-3, 1e3, 1e70):
+        r2, rel2 = (s * np.array([1.0, 0.5])) ** 2, np.abs(s * z) ** 2
+        naive = float(np.prod(r2 / (math.pi * (r2 - rel2) ** 2)))
+        assert kernel(s) == pytest.approx(naive, rel=1e-12), s
+        assert kernel(s) * s ** 4 == pytest.approx(unit, rel=1e-13), s
+    for s in (1e78, 1e100):
+        with pytest.raises(UnsupportedDomain, match="double range"):
+            kernel(s)
+    report = run_scenario(_polydisc_scenario(1e78))
+    assert report["summary"]["errors"] == 0
+    for point in report["points"]:
+        for name in ("bergman_sandwich", "ratio"):
+            assert point["checks"][name]["pass"] is None
+            assert "double range" in point["checks"][name]["skipped"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_polydisc_distance_product_overflow_is_a_point_error():
+    # at radii 1e160 p_D overflows; the domain's diameter norm overflows too
+    # (an open defect, hence the filter)
+    config = {**_polydisc_scenario(1e160), "points": {"sampler": {"count": 1, "seed": 1}}}
+    report = run_scenario(config)
+    assert report["summary"]["errors"] == 1
+    error = report["points"][0]["error"]
+    assert error["type"] == "UnsupportedDomain" and "p_D" in error["message"]
+
+
 def test_transformation_rule_diag_ellipsoid():
     # moments of the ellipsoid vs. pullback through the affine oracle
     radii = np.array([2.0, 0.7])

@@ -92,8 +92,55 @@ def test_polydisc_closed_form():
     assert basis.taus == pytest.approx([0.4, 0.7], rel=1e-12)
     assert basis.boundary_points[0] == pytest.approx(np.array([0.3 + 0j, 0.5 + 0j]))
     assert basis.boundary_points[1] == pytest.approx(np.array([1.0 + 0j, 0.1 + 0j]))
-    assert basis.methods == ["aligned", "aligned"]
+    assert basis.methods == ["support", "support"]
     assert not basis.approximate
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polydisc_support_formula_on_random_slices(seed):
+    # tau = min_k (r_k - |z_k - c_k|) / |row_k V| on every slice, reached on
+    # the boundary; the polar search is the independent route
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 2
+    P = Polydisc(n, center=rng.normal(size=n) + 1j * rng.normal(size=n),
+                 radii=rng.uniform(0.3, 2.0, n))
+    z = sample_interior(P, 1, rng)[0]
+    V = random_unitary(n, rng)[:, :int(rng.integers(1, n))]
+    r = slice_distance(P, z, V)
+    assert r.method == "support"
+    assert abs(_polar_slice(P, z, V).tau - r.tau) <= 1e-9 * r.tau
+    assert np.max(np.abs(r.p - P.center) / P.radii) == pytest.approx(1.0, abs=1e-13)
+    assert np.linalg.norm(r.p - z) == pytest.approx(r.tau, rel=1e-13)
+
+
+L1_Z3 = np.array([0.3 - 0.2j, -0.1j, 0.25 + 0.4j])
+
+
+@pytest.mark.parametrize("axes", [[0], [2], [0, 2], [2, 1]])
+def test_l1_axis_slices_are_aligned(axes):
+    # V spans coordinate axes, permuted and with phases: every face normal
+    # projects to length sqrt(k), so tau = (s - |z|_1) / sqrt(k)
+    V = np.zeros((3, len(axes)), dtype=np.complex128)
+    for col, axis in enumerate(axes):
+        V[axis, col] = np.exp(0.7j * (col + 1))
+    r = slice_distance(L1Ball(n=3, scale=2.0), L1_Z3, V)
+    assert r.method == "aligned"
+    assert r.tau == pytest.approx((2.0 - np.sum(np.abs(L1_Z3))) / math.sqrt(len(axes)),
+                                  rel=1e-14)
+    assert np.sum(np.abs(r.p)) == pytest.approx(2.0, rel=1e-14)
+    assert np.linalg.norm(r.p - L1_Z3) == pytest.approx(r.tau, rel=1e-14)
+
+
+def test_l1_unitary_mix_of_two_axes_is_aligned():
+    # the columns mix e_1 and e_3, so no column is a coordinate axis, but
+    # the slice is the coordinate plane they span
+    V = np.zeros((3, 2), dtype=np.complex128)
+    V[[0, 2], :] = random_unitary(2, np.random.default_rng(4))
+    L = L1Ball(n=3, scale=2.0)
+    r = slice_distance(L, L1_Z3, V)
+    assert r.method == "aligned"
+    assert r.tau == pytest.approx((2.0 - np.sum(np.abs(L1_Z3))) / math.sqrt(2.0), rel=1e-14)
+    assert abs(_polar_slice(L, L1_Z3, V).tau - r.tau) <= EPS_POLAR * r.tau
 
 
 def test_l1_ball_from_center():
@@ -219,6 +266,40 @@ def test_quadric_projection_near_the_hard_case(e):
         w = E.to_ball(r.p[None, :])[0]
         assert abs(float(np.sum(np.abs(w) ** 2)) - 1.0) <= 1e-12
         assert r.tau == pytest.approx(mp_ellipse_distance([4.0, 0.25], [0.3, e]), rel=1e-9)
+
+
+def test_quadric_taus_scale_with_the_ball_image():
+    # an absolute floor in the quadric solver once took slice 2 for affine
+    # (s = 5e7, 6e7) and then for a complex line (s >= 7e7)
+    z = np.array([0.3 + 0.1j, 0.1 - 0.05j])
+
+    def taus(s):
+        E = AffineBallImage(2, matrix=s * np.diag([1.0, 0.5]).astype(np.complex128),
+                            center=np.zeros(2, dtype=np.complex128))
+        basis = minimal_basis(E, s * z)
+        assert basis.methods == ["quadric", "quadric"]
+        return basis.taus / s
+
+    unit = taus(1.0)
+    for s in (1e-8, 1e-3, 3e7, 5e7, 6e7, 7e7, 1e20, 1e100, 1e150):
+        assert taus(s) == pytest.approx(unit, rel=1e-13), s
+
+
+def test_quadric_projection_is_exactly_scale_equivariant():
+    # xi -> 2^m xi maps (H, phi) to (4^-m H, 2^-m phi); the solver rescales
+    # by powers of two, so the solution follows bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        H, phi, g = _random_quadric(rng, int(rng.integers(2, 7)))
+        try:
+            xi = geometry.nearest_on_quadric(H, phi, g)
+        except Unbounded:
+            continue
+        for m in (-400, -31, 1, 200):
+            got = geometry.nearest_on_quadric(np.ldexp(H, -2 * m), np.ldexp(phi, -m), g)
+            assert np.array_equal(got, np.ldexp(xi, m)), m
+    with pytest.raises(Unbounded):
+        geometry.nearest_on_quadric(np.zeros((2, 2)), np.zeros(2), -1.0)
 
 
 def test_square_halfspace_distances():
@@ -574,17 +655,17 @@ def test_slice_distance_returns_tau_and_point():
 
 
 def test_secular_bisection_stops_at_adjacent_floats(monkeypatch):
-    # the first call tests the end of the bracket [0, t_end]; every later
-    # call is a bisection midpoint, which moves lo (q < 0) or hi (q >= 0)
-    secular = geometry._secular
+    # the first call tests the lower end 1e-13 lmax of the bracket; every
+    # later call is a bisection midpoint, which moves lo (q > 0) or hi (q <= 0)
+    secular = geometry._secular_eps
     calls = []
 
-    def spy(t, lam, phi2, g):
-        q = secular(t, lam, phi2, g)
-        calls.append((t, q))
+    def spy(eps, gaps, lam, phi2, g):
+        q = secular(eps, gaps, lam, phi2, g)
+        calls.append((eps, q))
         return q
 
-    monkeypatch.setattr(geometry, "_secular", spy)
+    monkeypatch.setattr(geometry, "_secular_eps", spy)
     rng = np.random.default_rng(71)
     for _ in range(10):
         dom = random_ball_image(rng)
@@ -593,11 +674,11 @@ def test_secular_bisection_stops_at_adjacent_floats(monkeypatch):
         for V in (np.eye(2, dtype=np.complex128), (v / np.linalg.norm(v))[:, None]):
             calls.clear()
             assert slice_distance(dom, z, V).method == "quadric"
-            (t_end, q_end), mids = calls[0], calls[1:]
-            assert q_end > 0.0 and mids
-            assert len(calls) < 110
-            lo = max([0.0] + [t for t, q in mids if q < 0.0])
-            hi = min([t_end] + [t for t, q in mids if q >= 0.0])
+            (eps_lo, q_lo), mids = calls[0], calls[1:]
+            assert q_lo > 0.0 and mids
+            assert len(calls) <= 70
+            lo = max([eps_lo] + [e for e, q in mids if q > 0.0])
+            hi = min(e for e, q in mids if q <= 0.0)
             # one more step would land on lo or hi and move neither end
             assert np.nextafter(lo, hi) == hi
 
@@ -647,23 +728,25 @@ def test_scalar_secular_matches_numpy_bit_for_bit():
         H, phi, g = _random_quadric(rng, int(rng.integers(2, 7)))
         lam, Q = np.linalg.eigh(H)
         lam = np.clip(lam, 0.0, None)
-        if lam[-1] <= 0.0:
+        lmax = lam[-1]
+        if lmax <= 0.0:
             continue
         phi2 = (Q.T @ phi) ** 2
         phi2[rng.random(phi2.size) < 0.2] = 0.0
-        t_end = (1.0 - 1e-13) / lam[-1]
-        ts = np.concatenate([rng.random(50) * t_end, t_end * (1.0 - rng.random(9) ** 8),
-                             [t_end]])
-        for t in ts.tolist():
-            got = geometry._secular(t, lam.tolist(), phi2.tolist(), g)
-            assert got == secular_numpy(t, lam, phi2, g), (t, lam, phi2, g)
+        gaps = lmax - lam
+        lo = 1e-13 * lmax
+        eps = np.concatenate([lo + rng.random(50) * 10.0 * lmax,
+                              lo * (1.0 + rng.random(9) ** 8), [lo]])
+        for e in eps.tolist():
+            got = geometry._secular_eps(e, gaps.tolist(), lam.tolist(), phi2.tolist(), g)
+            assert got == secular_numpy(e, gaps, lam, phi2, g), (e, lam, phi2, g)
             checked += 1
     assert checked >= 15_000
-    # at a pole the guarded denominator keeps the scalar loop from raising
-    pole = geometry._secular(0.5, [0.5, 2.0], [1.0, 1.0], -1.0)
-    assert pole == secular_numpy(0.5, [0.5, 2.0], [1.0, 1.0], -1.0) > 1e299
-    assert geometry._secular(0.5, [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
-    assert secular_numpy(0.5, [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
+    # at a pole (d_k = 0) the guarded denominator keeps the scalar loop from raising
+    pole = geometry._secular_eps(0.0, [1.5, 0.0], [0.5, 2.0], [1.0, 1.0], -1.0)
+    assert pole == secular_numpy(0.0, [1.5, 0.0], [0.5, 2.0], [1.0, 1.0], -1.0) > 1e299
+    assert geometry._secular_eps(0.0, [0.0, 0.0], [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
+    assert secular_numpy(0.0, [0.0, 0.0], [2.0, 2.0], [1e10, 1.0], -1.0) == math.inf
 
 
 def test_nearest_on_quadric_matches_numpy_reference(monkeypatch):
@@ -682,8 +765,7 @@ def test_nearest_on_quadric_matches_numpy_reference(monkeypatch):
         return out
 
     scalar = solve_all()
-    monkeypatch.setattr(geometry, "_secular",
-                        lambda t, lam, phi2, g: secular_numpy(t, lam, phi2, g))
+    monkeypatch.setattr(geometry, "_secular_eps", secular_numpy)
     reference = solve_all()
     for got, ref in zip(scalar, reference):
         assert (got is None) == (ref is None)
