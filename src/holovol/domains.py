@@ -36,7 +36,7 @@ from .errors import (
     UnboundedDomain,
     UnsupportedDomain,
 )
-from .linalg import as_cvector, phase, sample_en, uniform_ball
+from .linalg import as_cvector, phase, safe_norm, sample_en, uniform_ball
 
 CONVEX = "convex"
 C_CONVEX = "c_convex"
@@ -254,10 +254,11 @@ class HalfspaceConvex(Domain):
         lhs = (pts @ self.normals.conj().T).real  # Re <z, a_i>
         return np.all(lhs < self.offsets[None, :], axis=1)
 
-    def _real_lp_data(self):
-        """Constraints as A x <= b over x = (Re z_1, Im z_1, ..., Re z_n, Im z_n),
-        the memory layout of a complex vector."""
-        return np.ascontiguousarray(self.normals).view(np.float64), self.offsets.copy()
+    def _real_constraints(self):
+        """Unit-row A x <= b over x = (Re z_1, Im z_1, ...), a complex vector's layout."""
+        A = np.ascontiguousarray(self.normals).view(np.float64)
+        norms = np.linalg.norm(A, axis=1)
+        return A / norms[:, None], self.offsets / norms
 
     @cached_property
     def bounding_box(self) -> np.ndarray | None:
@@ -266,60 +267,59 @@ class HalfspaceConvex(Domain):
         By Stiemke's theorem {x : A x <= 0} = {0} exactly when A has full
         column rank and A^T lambda = 0 for some lambda > 0, that is, when the
         origin lies strictly inside the hull of the unit rows of A.  Qhull
-        decides that; a hull too flat for Qhull is unbounded, and so is an
-        unbounded inscribed-ball LP.  That LP, which gives Qhull the interior
-        point of the triangulation, is the one LP solved per polytope."""
+        decides that; a hull too flat for Qhull is unbounded."""
         from scipy.spatial import ConvexHull, QhullError
 
-        A, _ = self._real_lp_data()
+        A, _ = self._real_constraints()
         m, d = A.shape
         if m <= d or np.linalg.matrix_rank(A) < d:
             return None
         try:
-            hull = ConvexHull(A / np.linalg.norm(A, axis=1)[:, None])
+            hull = ConvexHull(A)
         except QhullError:
             return None
         # unit rows: a facet offset within roundoff of 0 leaves a free ray
         if hull.equations[:, -1].max() > -1e-12:
             return None
-        try:
-            verts = self._triangulation[1]
-        except UnboundedDomain:
-            return None
+        verts = self._triangulation[1]
         return np.stack([verts.min(axis=0), verts.max(axis=0)], axis=1)
 
     @cached_property
-    def chebyshev_center(self) -> np.ndarray:
-        """Center of the largest inscribed real ball, as a complex vector."""
-        from scipy.optimize import linprog
+    def interior_point(self) -> np.ndarray:
+        """A strictly interior point of a bounded polytope, as a complex vector.
+        With c0 solving A x = b in least squares, r = b - A c0 and s = max |r_i|,
+        c0 + s y/t is inside when (a_i, -r_i/s).(y, t) < 0 and t > 0.  Such (y, t)
+        exist iff the origin is outside the hull of the unit vectors along these
+        rows and (0, -1) (Gordan 1873); the hull facet farthest from it has one."""
+        from scipy.spatial import ConvexHull, QhullError
 
-        A, b = self._real_lp_data()
-        d = 2 * self.n
-        norms = np.linalg.norm(A, axis=1)
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=np.hstack([A, norms[:, None]]), b_ub=b,
-                      bounds=[(None, None)] * d + [(0.0, None)],
-                      method="highs")
-        if res.status == 3:
-            raise UnboundedDomain("no finite inscribed-ball center")
-        if res.status == 2 or (res.status == 0 and res.x[-1] <= 0):
+        A, b = self._real_constraints()
+        c0 = np.linalg.lstsq(A, b, rcond=None)[0]
+        r = b - A @ c0
+        s = np.abs(r).max()
+        if s == 0:
             raise DegenerateDomain("polytope has empty interior")
-        if res.status != 0:
-            raise HolovolError(f"inscribed-ball LP failed: {res.message}")
-        return res.x[:d:2] + 1j * res.x[1:d:2]
+        G = np.column_stack([np.vstack([A, np.zeros(A.shape[1])]), np.append(-r / s, -1.0)])
+        try:
+            eq = ConvexHull(G / np.linalg.norm(G, axis=1)[:, None]).equations
+        except QhullError as exc:
+            raise DegenerateDomain("polytope has empty interior") from exc
+        k = np.argmax(eq[:, -1])
+        if eq[k, -1] > 0 and np.all(A @ (x := c0 + s * eq[k, :-2] / eq[k, -2]) < b):
+            return x.view(np.complex128)
+        raise DegenerateDomain("polytope has empty interior")
 
     @cached_property
     def _triangulation(self):
-        """(center, vertices, cone-simplex edges, cumulative volumes x d!) of a
+        """(apex, vertices, cone-simplex edges, cumulative volumes x d!) of a
         bounded polytope: Qhull (Barber, Dobkin & Huhdanpaa 1996) finds the
-        vertices and simplicial hull facets; each facet is coned to the center."""
+        vertices and simplicial hull facets; each is coned to the interior point."""
         from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-        A, b = self._real_lp_data()
-        x0 = self.chebyshev_center.view(np.float64)  # (Re z_1, Im z_1, ...)
+        A, b = self._real_constraints()
+        x0 = self.interior_point.view(np.float64)  # (Re z_1, Im z_1, ...)
         try:
-            with np.errstate(divide="ignore"):  # a center on a facet fails in Qhull
+            with np.errstate(divide="ignore"):  # an apex on a facet fails in Qhull
                 verts = HalfspaceIntersection(np.hstack([A, -b[:, None]]), x0).intersections
             facets = ConvexHull(verts).simplices
         except QhullError as exc:
@@ -447,7 +447,7 @@ class AffineBallImage(Domain):
         return 2.0 * float(self._sv[0])
 
     def circumscribed_radius(self, z):
-        return float(np.linalg.norm(z - self.center)) + float(self._sv[0])
+        return safe_norm(z - self.center) + float(self._sv[0])
 
     def sample(self, count, rng, box=None):
         return self.exact_oracle.forward(uniform_ball(self.n, count, rng))
@@ -499,10 +499,10 @@ class Polydisc(Domain):
         return np.all(np.abs(pts - self.center) < self.radii[None, :], axis=1)
 
     def diameter(self) -> float:
-        return 2.0 * float(np.linalg.norm(self.radii))
+        return 2.0 * safe_norm(self.radii)
 
     def circumscribed_radius(self, z):
-        return float(np.linalg.norm(np.abs(z - self.center) + self.radii))
+        return safe_norm(np.abs(z - self.center) + self.radii)
 
     def sample(self, count, rng, box=None):
         u = rng.random((count, self.n))
@@ -556,7 +556,7 @@ class L1Ball(Domain):
 
     def circumscribed_radius(self, z):
         s = self.scale
-        nz = float(np.linalg.norm(z))
+        nz = safe_norm(z)
         return math.sqrt(nz * nz + s * s + 2.0 * s * float(np.max(np.abs(z))))
 
     def sample(self, count, rng, box=None):
@@ -657,13 +657,13 @@ class MembershipOracle(Domain):
     def diameter(self) -> float:
         if self.enclosing_polydisc is None:
             return math.inf
-        return 2.0 * float(np.linalg.norm(self.enclosing_polydisc[1]))
+        return 2.0 * safe_norm(self.enclosing_polydisc[1])
 
     def circumscribed_radius(self, z):
         if self.enclosing_polydisc is None:
             return math.inf
         c, r = self.enclosing_polydisc
-        return float(np.linalg.norm(np.abs(z - c) + r))
+        return safe_norm(np.abs(z - c) + r)
 
     def sample(self, count, rng, box=None):
         if box is None and self.enclosing_polydisc is not None:

@@ -56,6 +56,7 @@ from .errors import (
     UnboundedDomain,
     UnsupportedDomain,
 )
+from .linalg import safe_norm
 from .minimal_basis import distance_product, minimal_basis
 from .normalization import build_A, verify_normalization
 from .volume_elements import (
@@ -239,7 +240,7 @@ def _kernel_value(domain: Domain, z) -> bg.BergmanValue:
 
 def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dict:
     """Full pipeline at one point; HolovolErrors become the 'error' field."""
-    rec = {"z": _jsonable(z), "abs_z": float(np.linalg.norm(z))}
+    rec = {"z": _jsonable(z), "abs_z": safe_norm(z)}
     check_tol = float(tol["check_tol"])
     try:
         basis = minimal_basis(domain, z)

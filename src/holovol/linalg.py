@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -26,6 +28,13 @@ def as_cvector(z, n: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v.view(np.float64))):
         raise DimensionMismatch("vector has non-finite entries")
     return v
+
+
+def safe_norm(v) -> float:
+    """Euclidean norm at any scale: ``np.linalg.norm`` of v times a power of two
+    near 1/max |v_k|.  That is exact, so in-range norms keep every bit."""
+    e = min(max(math.frexp(float(np.abs(v).max()))[1], -1000), 1000)
+    return math.ldexp(float(np.linalg.norm(v * 2.0 ** -e)), e)
 
 
 def phase(x: complex) -> complex:

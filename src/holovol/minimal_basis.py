@@ -60,6 +60,7 @@ from .linalg import (
     orthonormal_columns,
     phase,
     real_form,
+    safe_norm,
 )
 
 #: relative accuracy of the closed-form / projection backends
@@ -288,7 +289,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
         d = r.p - z if r.direction is None else r.direction
         # kill out-of-slice roundoff before normalizing
         d = V @ (V.conj().T @ d)
-        nd = np.linalg.norm(d)
+        nd = safe_norm(d)
         if nd == 0:
             raise SingularBasis("degenerate boundary direction")
         d /= nd

@@ -73,6 +73,19 @@ def stiemke_bounded(dom: HalfspaceConvex) -> bool:
     return res.status == 0
 
 
+def chebyshev_radius(dom: HalfspaceConvex) -> float:
+    """Radius of the largest real ball inside a halfspace domain, by the
+    inscribed-ball LP: max r with Re <x, a_i> + |a_i| r <= b_i, r free, so an
+    empty interior reads r <= 0."""
+    A = np.ascontiguousarray(dom.normals).view(np.float64)
+    d = A.shape[1]
+    res = linprog(-np.eye(d + 1)[-1],
+                  A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]),
+                  b_ub=dom.offsets, bounds=[(None, None)] * (d + 1), method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
 # ---------------------------------------------------------------------------
 # the proof devices of the half-space reduction: the component-wise Moebius
 # map Psi and the 1/sqrt(n) polydisc scaling

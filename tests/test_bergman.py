@@ -151,10 +151,8 @@ def test_polydisc_closed_form_at_large_radii():
             assert "double range" in point["checks"][name]["skipped"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_polydisc_distance_product_overflow_is_a_point_error():
-    # at radii 1e160 p_D overflows; the domain's diameter norm overflows too
-    # (an open defect, hence the filter)
+    # at radii 1e160 p_D overflows, but the diameter (2.2e160) does not
     config = {**_polydisc_scenario(1e160), "points": {"sampler": {"count": 1, "seed": 1}}}
     report = run_scenario(config)
     assert report["summary"]["errors"] == 1
@@ -228,6 +226,22 @@ def test_l1_ball_kernel_out_of_double_range_is_skipped():
     L = L1Ball(n=2, scale=1e200)
     with pytest.raises(UnsupportedDomain, match="double range"):
         bergman_reinhardt(L, np.array([1e199 + 0j, 0j]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_l1_ball_basis_at_scale_1e300_is_the_unit_basis_scaled():
+    # |p - z| near 1e300 overflowed the sum of squares of a plain norm, so
+    # every point raised SingularBasis; only p_D ~ 1e600 leaves the range
+    unit, big = L1Ball(n=2, scale=1.0), L1Ball(n=2, scale=1e300)
+    for w in sample_interior(unit, 4, np.random.default_rng(3)):
+        ref, basis = minimal_basis(unit, w), minimal_basis(big, 1e300 * w)
+        assert basis.methods == ref.methods == ["aligned", "ellipse"]
+        assert np.allclose(basis.taus, 1e300 * np.asarray(ref.taus), rtol=1e-15, atol=0)
+    report = run_scenario(_l1_scenario(1e300))
+    assert report["summary"]["errors"] == 4
+    for point in report["points"]:
+        assert point["error"]["type"] == "UnsupportedDomain"
+        assert "p_D" in point["error"]["message"]
 
 
 def test_moments_are_computed_once_per_parsed_domain(monkeypatch):

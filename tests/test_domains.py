@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
-from helpers import random_unitary, stiemke_bounded, validate_oracle
+from scipy.spatial import HalfspaceIntersection
+from helpers import chebyshev_radius, random_unitary, stiemke_bounded, validate_oracle
 from test_acceptance import random_simplex_containing_zero
 from test_harness import STRIP
 from test_normalization import random_bounded_halfspace
@@ -376,6 +377,61 @@ def test_polytope_with_empty_interior_is_degenerate():
         sample_interior(flat, 10, np.random.default_rng(53))
     with pytest.raises(DegenerateDomain, match="polytope has empty interior"):
         diameter(flat)
+
+
+def _random_bounded_rows(rng, n):
+    """Rows of R^(2n) whose cone {x : A x <= 0} is {0}: 2n + 1 centred rows
+    (a simplex) or 2n + 1 to 6n Gaussian rows that pass the Stiemke LP."""
+    d = 2 * n
+    while True:
+        if rng.random() < 0.5:
+            rows = rng.normal(size=(d + 1, d))
+            rows -= rows.mean(axis=0, keepdims=True)
+        else:
+            rows = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 1)), d))
+        dom = HalfspaceConvex(n, normals=rows[:, 0::2] + 1j * rows[:, 1::2],
+                              offsets=np.ones(rows.shape[0]))
+        if stiemke_bounded(dom):
+            return rows
+
+
+def test_interior_point_is_well_inside_without_an_lp():
+    # 240 bounded polytopes at n = 2, 3: offsets in [0.5, 2] scaled by up to
+    # 1e+-6, translated by up to 1e4 times that scale; the point must clear
+    # every facet by a tenth of the inscribed-ball radius, and Qhull's
+    # halfspace intersection must take it as its feasible point
+    rng = np.random.default_rng(61)
+    for trial in range(240):
+        n = 2 + trial % 2
+        rows = _random_bounded_rows(rng, n)
+        scale = 10.0 ** rng.uniform(-6, 6) if trial % 3 else 1.0
+        shift = rng.normal(size=2 * n) * scale * 10.0 ** rng.uniform(0, 4) * (trial % 4 > 0)
+        b = rng.uniform(0.5, 2.0, rows.shape[0]) * scale + rows @ shift
+        dom = HalfspaceConvex(n, normals=rows[:, 0::2] + 1j * rows[:, 1::2], offsets=b)
+        x = dom.interior_point.view(np.float64)
+        slack = np.min((b - rows @ x) / np.linalg.norm(rows, axis=1))
+        assert dom.contains_many(dom.interior_point[None, :])[0], trial
+        assert slack >= 0.1 * chebyshev_radius(dom), trial
+        HalfspaceIntersection(np.hstack([rows, -b[:, None]]), x)
+
+
+def test_interior_point_of_an_empty_interior_is_degenerate():
+    # a bounded polytope cut by the reverse of one of its facets, at or past it
+    rng = np.random.default_rng(67)
+    empty = 0
+    for trial in range(60):
+        n = 2 + trial % 2
+        rows = _random_bounded_rows(rng, n)
+        b = rng.uniform(0.5, 2.0, rows.shape[0])
+        k = int(rng.integers(rows.shape[0]))
+        past = rng.choice([0.0, 1e-9, 1e-3, 0.5]) * np.linalg.norm(rows[k])
+        rows, b = np.vstack([rows, -rows[k]]), np.append(b, -b[k] - past)
+        dom = HalfspaceConvex(n, normals=rows[:, 0::2] + 1j * rows[:, 1::2], offsets=b)
+        if chebyshev_radius(dom) <= 0:
+            empty += 1
+            with pytest.raises(DegenerateDomain, match="polytope has empty interior"):
+                dom.interior_point
+    assert empty >= 45
 
 
 def test_sampling_is_seed_deterministic():

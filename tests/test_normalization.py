@@ -313,7 +313,10 @@ def test_far_polytope_point_passes_the_exact_support_test():
                    [-0.38943340425135703, -0.13799562010766256]], "b": 1.9232346408247498},
             {"a": [[-0.909521526184197, 0.16017634028033206],
                    [-0.09157746965120704, -0.37246167651753154]], "b": 1.7541439018284426}]},
-        "points": {"sampler": {"count": 2, "seed": 472526613}},
+        # the sampler's first draw for that entry when the triangulation's apex
+        # was the inscribed-ball centre (its draws move with the apex)
+        "points": {"explicit": [[[-1.191085392137202, -10.18309616354134],
+                                 [-23.95442201207532, -0.289911911062533]]]},
         "checks": ["normalization"],
     }
     point = run_scenario(config, workers=1, seed=0)["points"][0]
