@@ -71,7 +71,6 @@ from .normalization import (
 )
 from .volume_elements import (
     Interval,
-    QuotientBound,
     bounded_domain_lower_bound,
     certified_interval,
     ge_constants,
@@ -82,7 +81,7 @@ from .volume_elements import (
 __all__ = [
     "AffineBallImage", "BergmanValue", "Domain", "ExactOracle",
     "HalfspaceConvex", "Interval", "L1Ball", "MembershipOracle", "MinimalBasis",
-    "Normalization", "Polydisc", "QuotientBound", "Scenario", "SiegelHalfSpace",
+    "Normalization", "Polydisc", "Scenario", "SiegelHalfSpace",
     "applicable_checks", "bergman_closed", "bergman_from_moments",
     "bergman_reinhardt", "beta_excess", "bounded_domain_lower_bound",
     "build_A", "build_T", "c_n", "cayley",

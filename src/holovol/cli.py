@@ -72,8 +72,8 @@ def _cmd_constants(args) -> int:
     lines = [
         ("n", n),
         ("c_n", c_n(n)),
-        ("mu_n", quotient_lower_bound("convex", n).value),
-        ("nu_n", quotient_lower_bound("c_convex", n).value),
+        ("mu_n", quotient_lower_bound("convex", n)),
+        ("nu_n", quotient_lower_bound("c_convex", n)),
         ("v_pd2_lower_convex", v_lo_cvx),
         ("v_pd2_upper", v_hi),
         ("v_pd2_lower_c_convex", v_lo_cc),

@@ -28,6 +28,7 @@ import json
 import logging
 import math
 import numbers
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -72,7 +73,6 @@ log = logging.getLogger("holovol")
 ALL_CHECKS = (
     "theorem_ge",
     "monotonicity",
-    "corollary_q",
     "corollary_v",
     "normalization",
     "lemma_inclusion",
@@ -177,7 +177,9 @@ def parse_scenario(config: dict) -> Scenario:
 
 
 def applicable_checks(domain: Domain) -> list:
-    checks = ["theorem_ge", "monotonicity", "corollary_q"]
+    checks = ["theorem_ge"]
+    if domain.exact_oracle is not None:
+        checks.append("monotonicity")
     if math.isfinite(diameter(domain)):
         checks.append("corollary_v")
     if domain.supports_normals:
@@ -249,9 +251,9 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
         return rec
     n = basis.n
     pD = distance_product(basis)
-    if not math.isfinite(pD):
+    if not sys.float_info.min <= pD * pD <= sys.float_info.max:
         rec["error"] = _error(UnsupportedDomain(
-            f"distance product p_D = {pD:g} leaves the double range"))
+            f"distance product p_D = {pD:g}: p_D^2 leaves the normal double range"))
         return rec
     cls = domain.convexity_class
     rec.update(taus=[float(t) for t in basis.taus], p_D=pD,
@@ -287,20 +289,17 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
 
     for name in checks:
         try:
-            if name in ("theorem_ge", "monotonicity"):
-                own, other = (cert, mono) if name == "theorem_ge" else (mono, cert)
+            if name == "theorem_ge":
                 if exact:
-                    record(name, own.containment_margin(v), mode="containment",
-                           interval=list(own.as_pair()))
+                    record(name, cert.containment_margin(v), mode="containment")
                 else:
-                    record(name, own.intersection_margin(other), mode="intersection",
-                           interval=list(own.as_pair()))
-            elif name == "corollary_q":
-                qb = quotient_lower_bound(cls, n)
-                # q <= 1 always; on exact-oracle domains both volume elements
-                # coincide, so q = 1 is known there
-                record(name, 1.0 - qb.value, bound=qb.value,
-                       quotient=1.0 if v is not None else None)
+                    record(name, cert.intersection_margin(mono), mode="intersection")
+            elif name == "monotonicity":
+                if not exact:
+                    raise UnsupportedDomain(
+                        "no finite exact volume element: the overlap of the two "
+                        "intervals is theorem_ge's margin")
+                record(name, mono.containment_margin(v), mode="containment")
             elif name == "corollary_v":
                 bound = bounded_domain_lower_bound(cls, n, diameter(domain))
                 if exact:
@@ -314,7 +313,7 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
                 margin = min(margins["halfspace_margin"], alpha_margin)
                 record(name, margin, alpha_max=norm.alpha_max,
                        triangularity_residual=norm.triangularity_residual,
-                       **margins)
+                       **{k: val for k, val in margins.items() if not k.startswith("lemma_")})
             elif name == "lemma_inclusion":
                 record(name, normalized()[1]["lemma_margin"], mode=normalized()[1]["lemma_mode"])
             elif name == "bergman_sandwich":
@@ -432,6 +431,8 @@ def run_scenario(config, *, workers: int = 1, seed: int | None = None) -> dict:
             "errors": errors,
             "min_margins": min_margins,
             "approximate": any(r.get("approximate") for r in records),
+            # mu_n or nu_n: an a-priori constant of (class, n), not a check
+            "quotient_lower_bound": quotient_lower_bound(domain.convexity_class, domain.n),
         },
         "points": records,
         "timing": {"runtime_s": time.perf_counter() - t0},
@@ -456,9 +457,10 @@ def _fmt(x) -> str:
 
 def emit_json(report: dict, path: str) -> None:
     try:
+        # json.dumps without indent takes the C encoder; json.dump never does
+        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         with open(path, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write report to {path}: {exc}") from exc
 
@@ -473,6 +475,7 @@ def emit_csv(report: dict, path: str) -> None:
         if "taus" in p:
             n = len(p["taus"])
             break
+    interval_of = {"theorem_ge": "certified", "monotonicity": "monotonicity"}
     zcols = []
     if report["points"]:
         k = len(report["points"][0]["z"])
@@ -497,11 +500,8 @@ def emit_csv(report: dict, path: str) -> None:
                                 )
                     continue
                 for name, entry in rec["checks"].items():
-                    lo = hi = ""
-                    if "interval" in entry:
-                        lo, hi = entry["interval"]
-                    elif "band" in entry:
-                        lo, hi = entry["band"]
+                    lo, hi = (rec["intervals"][interval_of[name]] if name in interval_of
+                              else entry.get("band", ("", "")))
                     wr.writerow(
                         base + [_fmt(t) for t in taus]
                         + [_fmt(rec["p_D"]), name, _fmt(lo), _fmt(hi),

@@ -54,9 +54,6 @@ class Interval:
         """min distance of x to either endpoint; negative when x is outside."""
         return min(x - self.lo, self.hi - x)
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.intersection_margin(other) >= 0.0
-
     def intersection_margin(self, other: "Interval") -> float:
         """Overlap length (negative gap when disjoint).  Two sound bounds on
         the same quantity must overlap, so a negative value is a violation."""
@@ -103,20 +100,12 @@ def certified_interval(convexity_class: str, n: int, pD: float, *,
     return Interval.certified(lo_c / pd2, _cap(hi_c / pd2), slack)
 
 
-@dataclass(frozen=True)
-class QuotientBound:
-    n: int
-    convexity_class: str
-    value: float  # mu_n (convex) or nu_n (C-convex), in (0, 1]
-
-
-def quotient_lower_bound(convexity_class: str, n: int) -> QuotientBound:
-    """Lower bound for the quotient invariant q = c_D / k_D."""
+def quotient_lower_bound(convexity_class: str, n: int) -> float:
+    """mu_n (convex) or nu_n (C-convex): a lower bound for q = c_D / k_D."""
     if n < 2:
         raise BadDimension(f"quotient bounds need n >= 2, got {n}")
     k = class_constant(convexity_class)
-    value = (3.0 / (k * n * (4.0 ** n - 1.0))) ** n
-    return QuotientBound(n, convexity_class, value)
+    return (3.0 / (k * n * (4.0 ** n - 1.0))) ** n
 
 
 def bounded_domain_lower_bound(convexity_class: str, n: int, diam: float) -> float:

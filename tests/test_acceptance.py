@@ -131,7 +131,7 @@ def test_criterion_3_c_convex_consistency():
             cert = certified_interval("c_convex", 2, distance_product(basis),
                                       tau_rel_err=basis.tau_rel_err)
             mono = monotonicity_bounds(basis, circumscribed_radius(G, z))
-            assert cert.intersects(mono), (z, cert.as_pair(), mono.as_pair())
+            assert cert.intersection_margin(mono) >= 0, (z, cert.as_pair(), mono.as_pair())
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,8 @@ def test_criterion_8_constants_api(capsys):
             values[key.strip()] = float(val)
         # printed values round-trip the library formulas bit-for-bit
         assert values["c_n"] == c_n(2)
-        assert values["mu_n"] == quotient_lower_bound("convex", 2).value
-        assert values["nu_n"] == quotient_lower_bound("c_convex", 2).value
+        assert values["mu_n"] == quotient_lower_bound("convex", 2)
+        assert values["nu_n"] == quotient_lower_bound("c_convex", 2)
         lo, hi = ge_constants("convex", 2)
         assert values["v_pd2_lower_convex"] == lo
         assert values["v_pd2_upper"] == hi

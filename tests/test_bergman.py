@@ -143,12 +143,25 @@ def test_polydisc_closed_form_at_large_radii():
     for s in (1e78, 1e100):
         with pytest.raises(UnsupportedDomain, match="double range"):
             kernel(s)
-    report = run_scenario(_polydisc_scenario(1e78))
+    # at 4e77 every p_D^2 is still a normal double; only the kernel leaves the range
+    report = run_scenario(_polydisc_scenario(4e77))
     assert report["summary"]["errors"] == 0
     for point in report["points"]:
         for name in ("bergman_sandwich", "ratio"):
             assert point["checks"][name]["pass"] is None
             assert "double range" in point["checks"][name]["skipped"]
+
+
+def test_polydisc_distance_product_square_overflow_is_a_point_error():
+    # from radii 1e78 up p_D^2 overflows: the certified interval would read
+    # [0, 0] and theorem_ge would pass on a margin of zero
+    for scale in (1e78, 1e100):
+        report = run_scenario(_polydisc_scenario(scale))
+        assert report["summary"]["errors"] == 3, scale
+        for point in report["points"]:
+            assert "intervals" not in point
+            assert point["error"]["type"] == "UnsupportedDomain"
+            assert "p_D^2" in point["error"]["message"]
 
 
 def test_polydisc_distance_product_overflow_is_a_point_error():

@@ -7,7 +7,12 @@ report on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md.  Reports are written as one compact line with
+sorted keys; read one with
+
+    python -m json.tool tests/golden/<name>.report.json
+
+and compare two by their ``json.tool`` output.
 """
 
 import json
@@ -19,6 +24,7 @@ import pytest
 
 from holovol.domains import MembershipOracle
 from holovol.harness import emit_json, parse_scenario, run_scenario
+from holovol.volume_elements import quotient_lower_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 NAMES = sorted(p.name[: -len(".config.json")] for p in GOLDEN.glob("*.config.json"))
@@ -49,6 +55,31 @@ def test_golden_report(name, tmp_path):
     out = tmp_path / "report.json"
     emit_json(_report(name), str(out))
     assert out.read_text() == (GOLDEN / f"{name}.report.json").read_text()
+
+
+def test_each_fact_is_stated_once(tmp_path):
+    # intervals live in the point's `intervals`, lemma values in
+    # lemma_inclusion, and mu_n / nu_n once in the summary
+    for name in NAMES:
+        text = (GOLDEN / f"{name}.report.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        scenario = _scenario(name)
+        domain = (parse_scenario(scenario) if isinstance(scenario, dict) else scenario).domain
+        assert report["summary"]["quotient_lower_bound"] == \
+            quotient_lower_bound(domain.convexity_class, domain.n)
+        for point in report["points"]:
+            checks = point.get("checks", {})
+            assert not any("interval" in entry for entry in checks.values()), name
+            assert not any(key.startswith("lemma_") for key in checks.get("normalization", {}))
+            if "monotonicity" in checks and not checks["monotonicity"].get("skipped"):
+                assert checks["monotonicity"]["mode"] == "containment", name
+    report = _report("ball_image")
+    out = tmp_path / "report.json"
+    emit_json(report, str(out))
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == report
 
 
 if __name__ == "__main__":

@@ -189,6 +189,8 @@ MALFORMED = {
     "box_nan_radius": (_malformed(points={"sampler": {"count": 1, "box": {
         "center": [[0, 0], [0, 0]], "radii": [1.0, float("nan")]}}}), 1, "sampler box"),
     "checks_not_a_list": (_malformed(checks="theorem_ge"), 1, "checks must be a list"),
+    "corollary_q_removed": (_malformed(checks=["theorem_ge", "corollary_q"]), 1,
+                            r"unknown checks: \['corollary_q'\]"),
     "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1,
                           r"unknown tolerances: \['chek_tol'\]"),
     "support_samples_removed": (_malformed(tolerances={"support_samples": 1000}), 1,
@@ -287,6 +289,17 @@ def test_csv_and_json_agree(tmp_path):
         chk = point["checks"][row["check"]]
         assert float(row["margin"]) == pytest.approx(chk["margin"], rel=1e-12)
         assert (row["passed"] == "1") == chk["pass"]
+        interval = point["intervals"][
+            {"theorem_ge": "certified", "monotonicity": "monotonicity"}[row["check"]]]
+        assert [float(row["lo"]), float(row["hi"])] == interval
+    # a polydisc has no exact volume element: its default checks run no
+    # monotonicity, whose overlap with the certified interval is theorem_ge's
+    polydisc = json.loads((Path(__file__).parent / "golden" / "polydisc.config.json").read_text())
+    emit_csv(run_scenario(polydisc, workers=1), cpath)
+    with open(cpath, newline="") as fh:
+        checks = {row["check"] for row in csv.DictReader(fh)}
+    assert "theorem_ge" in checks
+    assert not checks & {"corollary_q", "monotonicity"}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from holovol.minimal_basis import distance_product, minimal_basis
 from holovol.normalization import build_A
 from holovol.volume_elements import (
     Interval,
-    QuotientBound,
     bounded_domain_lower_bound,
     certified_interval,
     compound_slack,
@@ -55,10 +54,10 @@ def test_interval_contains_and_margins():
     assert iv.containment_margin(2.0) == pytest.approx(1.0)
     assert iv.containment_margin(0.5) == pytest.approx(-0.5)
     other = Interval(lo=3.0, hi=9.0)
-    assert iv.intersects(other)
+    assert iv.intersection_margin(other) >= 0
     assert iv.intersection_margin(other) == pytest.approx(1.0)
     disjoint = Interval(lo=5.0, hi=9.0)
-    assert not iv.intersects(disjoint)
+    assert iv.intersection_margin(disjoint) < 0
     assert iv.intersection_margin(disjoint) == pytest.approx(-1.0)
 
 
@@ -111,13 +110,12 @@ def test_ge_constants_bad_dimension():
 def test_quotient_bounds_and_ratio():
     mu = quotient_lower_bound("convex", 2)
     nu = quotient_lower_bound("c_convex", 2)
-    assert isinstance(mu, QuotientBound) and isinstance(nu, QuotientBound)
-    assert mu.value == pytest.approx(1.0 / 1600.0, rel=1e-12)
-    assert nu.value == pytest.approx(1.0 / 25600.0, rel=1e-12)
-    assert mu.value / nu.value == pytest.approx(16.0, rel=1e-12)
+    assert isinstance(mu, float) and isinstance(nu, float)
+    assert mu == pytest.approx(1.0 / 1600.0, rel=1e-12)
+    assert nu == pytest.approx(1.0 / 25600.0, rel=1e-12)
+    assert mu / nu == pytest.approx(16.0, rel=1e-12)
     for n in (2, 3, 4):
-        r = (quotient_lower_bound("convex", n).value
-             / quotient_lower_bound("c_convex", n).value)
+        r = quotient_lower_bound("convex", n) / quotient_lower_bound("c_convex", n)
         assert r == pytest.approx(4.0 ** n, rel=1e-12)
 
 
