@@ -4,7 +4,7 @@ The pipeline: concrete domain backends (`domains`), the iterated slice-distance
 construction (`minimal_basis`), the affine normalization T/A with supporting
 hyperplanes (`normalization`), certified intervals for the Caratheodory /
 Kobayashi-Eisenman volume elements (`volume_elements`), Bergman kernels and
-comparison bands (`bergman`), and a scenario harness with a CLI (`harness`,
+their bands (`bergman`), and a scenario harness with a CLI (`harness`,
 `cli`).
 """
 
@@ -19,7 +19,6 @@ from .bergman import (
     kernel_product_bounds,
     kernel_sandwich_check,
     ratio_band,
-    ratio_check,
 )
 from .domains import (
     AffineBallImage,
@@ -90,7 +89,7 @@ __all__ = [
     "emit_csv", "emit_json", "errors", "evaluate_point", "exact_volume_element",
     "ge_constants", "kernel_product_bounds", "kernel_sandwich_check",
     "lemma_margins", "minimal_basis", "monotonicity_bounds", "parse_scenario",
-    "quotient_lower_bound", "random_admissible_A", "ratio_band", "ratio_check",
+    "quotient_lower_bound", "random_admissible_A", "ratio_band",
     "run_scenario", "sample_en", "sample_interior",
     "slice_distance", "supporting_normal", "symmetrized_bidisc", "unit_ball",
     "verify_normalization", "__version__",

@@ -17,7 +17,9 @@ Two independent computation paths:
       (4 pi)^-n  <=  K(z) p_D^2  <=  (2n)!/(2 pi)^n        (convex lower)
       (16 pi)^-n lower constant                            (C-convex)
 
-  and the v/K comparison bands.
+  and the v/K band :func:`ratio_band`.  It is stated once per scenario, not
+  checked: where v is exact, v/K = pi^n/n!, and elsewhere the certified v
+  interval over K meets the band whenever the sandwich holds.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .domains import (
 )
 from .errors import PointOutsideDomain, TailDiverges, UnsupportedDomain
 from .linalg import as_cvector
-from .volume_elements import Interval, class_constant
+from .volume_elements import class_constant
 
 #: shell-to-shell growth above which the geometric tail estimate is refused
 TAIL_RATIO_LIMIT = 0.9
@@ -292,40 +294,8 @@ def kernel_sandwich_check(convexity_class: str, n: int, K: BergmanValue,
 
 
 def ratio_band(convexity_class: str, n: int) -> tuple:
+    """v/K bounds: ``ge_constants`` over :func:`kernel_product_bounds`, crosswise."""
     k = class_constant(convexity_class)
     lo = math.pi ** n / (math.factorial(2 * n) * (k / 2.0 * n) ** n)
     hi = (k * math.pi * (4.0 ** n - 1.0) / 3.0) ** n
     return lo, hi
-
-
-def _upper_ratio(v: float, K_lo: float) -> float:
-    """v / K_lo, and +inf when the kernel's lower end is not positive."""
-    return v / K_lo if K_lo > 0.0 else math.inf
-
-
-def ratio_check(convexity_class: str, n: int, v_interval: Interval,
-                K: BergmanValue, v_exact: float | None = None) -> dict:
-    """Compare v/K against the theorem band.
-
-    With an exact v the band must contain the (narrow) ratio interval; with
-    only a certified v interval the check degrades to nonempty intersection.
-    """
-    band_lo, band_hi = ratio_band(convexity_class, n)
-    K_lo = K.value - K.truncation_error
-    K_hi = K.value + K.truncation_error
-    if v_exact is not None:
-        r_lo, r_hi = v_exact / K_hi, _upper_ratio(v_exact, K_lo)
-        margins = (r_lo - band_lo, band_hi - r_hi)
-        mode = "containment"
-    else:
-        r_lo, r_hi = v_interval.lo / K_hi, _upper_ratio(v_interval.hi, K_lo)
-        margins = (r_hi - band_lo, band_hi - r_lo)
-        mode = "intersection"
-    return {
-        "band": (band_lo, band_hi),
-        "ratio_lo": r_lo,
-        "ratio_hi": r_hi,
-        "lower_margin": margins[0],
-        "upper_margin": margins[1],
-        "mode": mode,
-    }

@@ -36,7 +36,7 @@ from .errors import (
     UnboundedDomain,
     UnsupportedDomain,
 )
-from .linalg import as_cvector, phase, safe_norm, sample_en, uniform_ball
+from .linalg import as_cvector, inverse_power, phase, safe_norm, sample_en, uniform_ball
 
 CONVEX = "convex"
 C_CONVEX = "c_convex"
@@ -739,7 +739,7 @@ def exact_volume_element(domain: Domain, z) -> float:
     w = oracle.inverse(zz[None, :])[0]
     r2 = float(np.sum(np.abs(w) ** 2))
     jd = abs(complex(oracle.jacobian_det(w[None, :])[0]))
-    v = jd ** -2 * (1.0 - r2) ** (-(domain.n + 1))
+    v = inverse_power(jd, 2) * (1.0 - r2) ** (-(domain.n + 1))
     return math.inf if v > OVERFLOW_LIMIT else float(v)
 
 

@@ -31,7 +31,7 @@ class PointOutsideDomain(HolovolError):
 
 
 class PointTooCloseToBoundary(HolovolError):
-    """First boundary distance below the resolvable threshold (tau_1 < 1e-10)."""
+    """First boundary distance below the resolvable threshold (tau_1 < 1e-10 |z|)."""
 
 
 class Unbounded(HolovolError):
@@ -63,10 +63,6 @@ class SingularBasis(HolovolError):
 class NotSupporting(HolovolError):
     """``supporting_normal`` has no usable normal at a frame point, e.g. one
     with mass outside span(d^1..d^j), or one that is zero."""
-
-
-class TriangularityViolated(HolovolError):
-    """Normalization rows have non-negligible mass above the diagonal."""
 
 
 class InclusionViolated(HolovolError):

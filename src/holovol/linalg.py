@@ -37,6 +37,14 @@ def safe_norm(v) -> float:
     return math.ldexp(float(np.linalg.norm(v * 2.0 ** -e)), e)
 
 
+def inverse_power(x: float, k: int) -> float:
+    """x ** -k for x > 0; +inf where the float power would raise OverflowError."""
+    try:
+        return x ** -k
+    except OverflowError:
+        return math.inf
+
+
 def phase(x: complex) -> complex:
     """x / |x|, and 1 at the origin."""
     return x / abs(x) if abs(x) > 0 else 1.0 + 0j

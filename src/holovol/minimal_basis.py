@@ -71,7 +71,8 @@ EPS_POLAR = 1e-4
 #: polar search cap for oracles without an enclosing polydisc
 SEARCH_RADIUS = 1e6
 
-#: below this first distance the point is treated as effectively on the boundary
+#: tau_1 below TAU_MIN * |z| is lost in the rounding of z: the point counts as
+#: on the boundary (the threshold scales with the problem; at z = 0 it is 0)
 TAU_MIN = 1e-10
 
 
@@ -283,9 +284,9 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
             raise DegenerateDomain(
                 f"slice {j + 1} of {n} is unbounded: {exc}",
                 witness=exc.witness) from exc
-        if j == 0 and r.tau < TAU_MIN:
+        if j == 0 and r.tau < TAU_MIN * safe_norm(z):
             raise PointTooCloseToBoundary(
-                f"first boundary distance {r.tau:.3e} below {TAU_MIN:g}")
+                f"first boundary distance {r.tau:.3e} below {TAU_MIN:g} |z|")
         d = r.p - z if r.direction is None else r.direction
         # kill out-of-slice roundoff before normalizing
         d = V @ (V.conj().T @ d)

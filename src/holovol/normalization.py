@@ -33,7 +33,6 @@ from .errors import (
     InclusionViolated,
     NotSupporting,
     SingularBasis,
-    TriangularityViolated,
     UnsupportedDomain,
 )
 from .geometry import ray_exit
@@ -119,18 +118,12 @@ def supporting_normal(domain: Domain, basis: MinimalBasis, j: int) -> np.ndarray
 
 @dataclass
 class Normalization:
-    """T, A and the supporting normals behind A, plus build diagnostics."""
+    """T, A and the supporting normals behind A."""
 
     T: np.ndarray
     A: np.ndarray
     normals: np.ndarray           # rows nu_j
-    det_T: complex
     alpha_max: float              # largest subdiagonal |alpha|; theory says <= 1
-    triangularity_residual: float
-
-    @property
-    def n(self) -> int:
-        return self.T.shape[0]
 
     def map_points(self, basis: MinimalBasis, pts: np.ndarray) -> np.ndarray:
         """W = A T (x - z) for a batch of points."""
@@ -138,29 +131,20 @@ class Normalization:
 
 
 def build_A(domain: Domain, basis: MinimalBasis) -> Normalization:
-    """T and the triangular A from the supporting normals at the frame points;
-    raises TriangularityViolated when a normal leans on later directions."""
-    n = basis.n
-    T = build_T(basis)
+    """T and the triangular A, read off the frame: with c_jk = <nu_j, d^k>,
+    which :func:`supporting_normal` makes zero for k > j (and real positive
+    for k = j), A_jk = conj(c_jk) tau_k / (c_jj tau_j)."""
+    n, T = basis.n, build_T(basis)
     normals = np.stack([supporting_normal(domain, basis, j) for j in range(n)])
-    # m_j = (T^-1)^* nu_j ;  triangularity of M is the structure theorem
-    M = np.linalg.solve(T.conj().T, normals.T).T
-    tri = 0.0
-    for j in range(n - 1):
-        row = M[j]
-        tri = max(tri, float(np.max(np.abs(row[j + 1:])) / np.linalg.norm(row)))
-    if tri > SUPPORT_TOL:
-        raise TriangularityViolated(
-            f"normal coefficients along later directions reach {tri:.3e}")
-    A = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        A[j, : j + 1] = np.conj(M[j, : j + 1]) / np.conj(M[j, j])
-        A[j, j] = 1.0
+    taus = basis.taus.tolist()
+    c = (normals @ basis.directions.conj().T).tolist()
+    A = np.eye(n, dtype=np.complex128)
     alpha_max = 0.0
-    if n > 1:
-        sub = [abs(A[j, k]) for j in range(1, n) for k in range(j)]
-        alpha_max = float(max(sub))
-    return Normalization(T, A, normals, complex(np.linalg.det(T)), alpha_max, tri)
+    for j in range(1, n):
+        for k in range(j):
+            A[j, k] = alpha = (c[j][k] * taus[k] / (c[j][j] * taus[j])).conjugate()
+            alpha_max = max(alpha_max, abs(alpha))
+    return Normalization(T, A, normals, alpha_max)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalizatio
     """
     rng = np.random.default_rng(seed)
     n, z = basis.n, basis.base_point
-    T_inv = np.linalg.inv(norm.T)
+    frame = basis.directions * basis.taus[:, None]  # rows tau_j d^j: (T^-1)^T
     out = {}
 
     def settle(part, margin, mode, message, witness=None):
@@ -242,13 +226,13 @@ def verify_normalization(domain: Domain, basis: MinimalBasis, norm: Normalizatio
         if margin < -tol:
             raise InclusionViolated(message, witness=witness, margin=float(margin))
 
-    if (rho := domain.disc_radii(z, T_inv.T)) is not None:
+    if (rho := domain.disc_radii(z, frame)) is not None:
         j = int(np.argmin(rho))
         settle("en", rho[j] - 1.0, "exact", f"the disc along T^-1 e_{j + 1} left the domain",
                {"disc": j})
     else:
         w = sample_en(n, samples, rng)
-        X = z[None, :] + w @ T_inv.T
+        X = z[None, :] + w @ frame
         inside = domain.contains_many(X)
         if not inside.all():
             bad = int(np.argmin(inside))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .domains import CONVEX, C_CONVEX, OVERFLOW_LIMIT
 from .errors import BadDimension, UnboundedDomain
+from .linalg import inverse_power
 
 
 def _cap(x: float) -> float:
@@ -117,7 +118,7 @@ def bounded_domain_lower_bound(convexity_class: str, n: int, diam: float) -> flo
         raise UnboundedDomain("the diameter corollary needs a finite diameter")
     if diam <= 0:
         raise ValueError(f"diameter must be positive, got {diam}")
-    return (class_constant(convexity_class) * n * diam * diam) ** (-n)
+    return inverse_power(class_constant(convexity_class) * n * diam * diam, n)
 
 
 def monotonicity_bounds(basis, circumscribed: float) -> Interval:
@@ -132,7 +133,7 @@ def monotonicity_bounds(basis, circumscribed: float) -> Interval:
     if circumscribed < tau1 * (1.0 - 1e-12):
         raise ValueError(
             f"circumscribed radius {circumscribed} below inscribed tau_1 {tau1}")
-    lo = 0.0 if math.isinf(circumscribed) else circumscribed ** (-2 * n)
-    hi = _cap(tau1 ** (-2 * n))
+    lo = 0.0 if math.isinf(circumscribed) else inverse_power(circumscribed, 2 * n)
+    hi = _cap(inverse_power(tau1, 2 * n))
     slack = compound_slack(basis.tau_rel_err, n)
     return Interval.certified(lo, hi, slack)

@@ -16,7 +16,6 @@ from holovol.bergman import (
     kernel_product_bounds,
     kernel_sandwich_check,
     ratio_band,
-    ratio_check,
     reinhardt_moments_for,
 )
 from holovol.domains import (
@@ -30,7 +29,7 @@ from holovol.domains import (
 from holovol.errors import TailDiverges, UnsupportedDomain
 from holovol.harness import parse_scenario, run_scenario
 from holovol.minimal_basis import distance_product, minimal_basis
-from holovol.volume_elements import Interval, certified_interval
+from holovol.volume_elements import ge_constants
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +124,9 @@ def _polydisc_scenario(scale: float) -> dict:
 
 
 def test_polydisc_closed_form_at_large_radii():
-    # (r^2 - |z - c|^2)^2 overflowed from radii 1e78 up, so K read 0 and the
-    # ratio check divided by it; per coordinate in units of r_k the kernel
-    # scales as s^-4 until it leaves the normal double range
+    # (r^2 - |z - c|^2)^2 overflowed from radii 1e78 up, so K read 0; per
+    # coordinate in units of r_k the kernel scales as s^-4 until it leaves
+    # the normal double range
     z = np.array([0.3 + 0.1j, 0.1 - 0.05j])
 
     def kernel(s):
@@ -147,9 +146,9 @@ def test_polydisc_closed_form_at_large_radii():
     report = run_scenario(_polydisc_scenario(4e77))
     assert report["summary"]["errors"] == 0
     for point in report["points"]:
-        for name in ("bergman_sandwich", "ratio"):
-            assert point["checks"][name]["pass"] is None
-            assert "double range" in point["checks"][name]["skipped"]
+        entry = point["checks"]["bergman_sandwich"]
+        assert entry["pass"] is None
+        assert "double range" in entry["skipped"]
 
 
 def test_polydisc_distance_product_square_overflow_is_a_point_error():
@@ -220,19 +219,17 @@ def _l1_scenario(scale: float) -> dict:
 def test_l1_ball_kernel_checks_are_scale_invariant():
     # K_{sE}(z) = s^{-2n} K_E(z/s): the series runs on E_n at z/s, so neither
     # underflow (small s) nor overflow (large s) reaches the moments; at
-    # s = 1e76 the kernel is near 1e-304, and the ratio divides by it as is
+    # s = 1e76 the kernel is near 1e-304 and the sandwich still reads it
     def margins(report):
-        return [[p["checks"][name]["margin"] for name in ("bergman_sandwich", "ratio")]
-                for p in report["points"]]
+        return [p["checks"]["bergman_sandwich"]["margin"] for p in report["points"]]
 
     unit = margins(run_scenario(_l1_scenario(1.0)))
     for scale in (1e-4, 1e-2, 1.0, 1e3, 1e4, 1e10, 1e76):
         report = run_scenario(_l1_scenario(scale))
         assert report["summary"]["failures"] == 0, scale
         assert report["summary"]["errors"] == 0, scale
-        for got, ref in zip(margins(report), unit):
-            for g, r in zip(got, ref):
-                assert g == r if r is None else g == pytest.approx(r, rel=1e-9), scale
+        for g, r in zip(margins(report), unit):
+            assert g == r if r is None else g == pytest.approx(r, rel=1e-9), scale
 
 
 def test_l1_ball_kernel_out_of_double_range_is_skipped():
@@ -338,39 +335,18 @@ def test_ratio_constant_on_the_ball():
         assert v / K == pytest.approx(math.pi ** 2 / 2, rel=1e-10)
 
 
-def test_ratio_check_containment_mode():
-    B = unit_ball(2)
-    z = np.array([0.27 - 0.1j, 0.05 + 0.3j])
-    basis = minimal_basis(B, z)
-    v = exact_volume_element(B, z)
-    K = bergman_closed(B, z)
-    iv = certified_interval("convex", 2, distance_product(basis))
-    res = ratio_check("convex", 2, iv, K, v_exact=v)
-    assert res["mode"] == "containment"
-    assert res["lower_margin"] > 0 and res["upper_margin"] > 0
-    band = ratio_band("convex", 2)
-    assert band[0] < math.pi ** 2 / 2 < band[1]
-
-
-def test_ratio_check_intersection_mode_without_oracle():
-    L = L1Ball(n=2, scale=1.0)
-    z = np.array([0.2 + 0j, 0.1j])
-    basis = minimal_basis(L, z)
-    K = bergman_reinhardt(L, z, max_degree=50)
-    iv = certified_interval("convex", 2, distance_product(basis),
-                            tau_rel_err=basis.tau_rel_err)
-    res = ratio_check("convex", 2, iv, K)
-    assert res["mode"] == "intersection"
-    assert res["lower_margin"] > 0 and res["upper_margin"] > 0
-
-
-def test_ratio_check_without_a_positive_kernel_lower_end_is_unbounded_above():
-    iv = Interval(0.5, 2.0)
-    K = BergmanValue(1.0, 1.5, "reinhardt_quadrature")
-    res = ratio_check("convex", 2, iv, K)
-    assert res["ratio_hi"] == math.inf and res["lower_margin"] == math.inf
-    res = ratio_check("convex", 2, iv, K, v_exact=1.0)
-    assert res["ratio_hi"] == math.inf and res["upper_margin"] == -math.inf
+def test_ratio_band_is_the_quotient_of_the_v_and_K_bands():
+    # the premise for stating the band once per scenario instead of checking
+    # v/K per point: it is the v band over the K band, crosswise, and it holds
+    # pi^n/n!, the value of v/K wherever v is exact
+    for cls in ("convex", "c_convex"):
+        for n in range(2, 11):
+            v_lo, v_hi = ge_constants(cls, n)
+            K_lo, K_hi = kernel_product_bounds(cls, n)
+            lo, hi = ratio_band(cls, n)
+            assert lo == pytest.approx(v_lo / K_hi, rel=1e-14), (cls, n)
+            assert hi == pytest.approx(v_hi / K_lo, rel=1e-14), (cls, n)
+            assert lo < math.pi ** n / math.factorial(n) < hi, (cls, n)
 
 
 def test_ratio_band_frozen_n2():

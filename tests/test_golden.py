@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from holovol.bergman import ratio_band
 from holovol.domains import MembershipOracle
 from holovol.harness import emit_json, parse_scenario, run_scenario
 from holovol.volume_elements import quotient_lower_bound
@@ -59,7 +60,7 @@ def test_golden_report(name, tmp_path):
 
 def test_each_fact_is_stated_once(tmp_path):
     # intervals live in the point's `intervals`, lemma values in
-    # lemma_inclusion, and mu_n / nu_n once in the summary
+    # lemma_inclusion, and mu_n / nu_n and the v/K band once in the summary
     for name in NAMES:
         text = (GOLDEN / f"{name}.report.json").read_text()
         report = json.loads(text)
@@ -68,13 +69,20 @@ def test_each_fact_is_stated_once(tmp_path):
         domain = (parse_scenario(scenario) if isinstance(scenario, dict) else scenario).domain
         assert report["summary"]["quotient_lower_bound"] == \
             quotient_lower_bound(domain.convexity_class, domain.n)
+        assert report["summary"]["ratio_band"] == \
+            list(ratio_band(domain.convexity_class, domain.n))
+        assert "ratio" not in report["checks"], name
         for point in report["points"]:
             checks = point.get("checks", {})
             assert not any("interval" in entry for entry in checks.values()), name
+            assert "ratio" not in checks, name
             assert not any(key.startswith("lemma_") for key in checks.get("normalization", {}))
+            assert "triangularity_residual" not in checks.get("normalization", {}), name
             if "monotonicity" in checks and not checks["monotonicity"].get("skipped"):
                 assert checks["monotonicity"]["mode"] == "containment", name
     report = _report("ball_image")
+    assert report["summary"]["ratio_band"] == list(ratio_band("convex", 2))
+    assert "ratio" not in report["checks"]
     out = tmp_path / "report.json"
     emit_json(report, str(out))
     text = out.read_text()

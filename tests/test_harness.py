@@ -191,6 +191,8 @@ MALFORMED = {
     "checks_not_a_list": (_malformed(checks="theorem_ge"), 1, "checks must be a list"),
     "corollary_q_removed": (_malformed(checks=["theorem_ge", "corollary_q"]), 1,
                             r"unknown checks: \['corollary_q'\]"),
+    "ratio_removed": (_malformed(checks=["theorem_ge", "ratio"]), 1,
+                      r"unknown checks: \['ratio'\]"),
     "unknown_tolerance": (_malformed(tolerances={"chek_tol": 1e-9}), 1,
                           r"unknown tolerances: \['chek_tol'\]"),
     "support_samples_removed": (_malformed(tolerances={"support_samples": 1000}), 1,

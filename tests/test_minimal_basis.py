@@ -26,6 +26,7 @@ from holovol.errors import (
     Unbounded,
 )
 from holovol import geometry
+from holovol.harness import run_scenario
 from holovol.linalg import complement_within, uniform_ball
 from holovol.minimal_basis import (
     EPS_CLOSED,
@@ -704,6 +705,56 @@ def test_point_too_close_to_boundary():
     z = np.array([1.0 - 1e-13 + 0j, 0j])
     with pytest.raises(PointTooCloseToBoundary):
         minimal_basis(unit_ball(2), z)
+
+
+def _scaled_scenario(variant: str, scale: float) -> dict:
+    radii = [scale, 0.5 * scale]
+    if variant == "polydisc":
+        domain = {"variant": "polydisc", "n": 2, "center": [[0, 0], [0, 0]], "radii": radii}
+    else:
+        domain = {"variant": "ball_image", "n": 2, "center": [[0, 0], [0, 0]],
+                  "matrix": [[[radii[0], 0], [0, 0]], [[0, 0], [radii[1], 0]]]}
+    return {"name": f"{variant}-{scale:g}", "domain": domain,
+            "points": {"sampler": {"count": 3, "seed": 1}}}
+
+
+@pytest.mark.parametrize("variant,scale", [("polydisc", 1e-9), ("polydisc", 1e-60),
+                                           ("ball_image", 1e-60)])
+def test_first_distance_threshold_scales_with_the_domain(variant, scale):
+    # TAU_MIN is relative to |z|: a small domain is the unit one scaled, with
+    # the same pass flags and its taus scaled (an absolute 1e-10 refused them)
+    unit = run_scenario(_scaled_scenario(variant, 1.0))
+    report = run_scenario(_scaled_scenario(variant, scale))
+    assert report["summary"]["errors"] == 0
+    assert report["summary"]["failures"] == unit["summary"]["failures"] == 0
+    for got, ref in zip(report["points"], unit["points"]):
+        assert got["taus"] == pytest.approx([scale * t for t in ref["taus"]], rel=1e-12)
+        assert {k: c["pass"] for k, c in got["checks"].items()} == \
+            {k: c["pass"] for k, c in ref["checks"].items()}
+
+
+@pytest.mark.parametrize("variant", ["polydisc", "ball_image"])
+def test_distance_product_underflow_stays_a_point_error(variant):
+    # at 1e-100 p_D^2 leaves the normal double range: point errors, not a raise
+    report = run_scenario(_scaled_scenario(variant, 1e-100))
+    assert [p["error"]["type"] for p in report["points"]] == ["UnsupportedDomain"] * 3
+
+
+def test_tiny_ball_image_saturates_its_negative_powers():
+    # tau_1 = 1e-52 at n = 3: tau_1^(-2n) and v leave the double range and read
+    # +inf, as the overflow policy says, instead of raising OverflowError
+    s = 1e-50
+    config = {"name": "tiny-ball", "domain": {
+        "variant": "ball_image", "n": 3, "center": [[0, 0]] * 3,
+        "matrix": [[[s if i == j else 0, 0] for j in range(3)] for i in range(3)]},
+        "points": {"explicit": [[[0.99 * s, 0], [0, 0], [0, 0]]]}}
+    report = run_scenario(config)
+    assert report["summary"]["errors"] == 0 and report["summary"]["failures"] == 0
+    point = report["points"][0]
+    assert point["oracle_v"] == math.inf and point["intervals"]["monotonicity"][1] == math.inf
+    # monotonicity needs a finite v, so it is skipped; every other check passes
+    assert point["checks"].pop("monotonicity")["pass"] is None
+    assert all(entry["pass"] for entry in point["checks"].values())
 
 
 def _random_quadric(rng, d):

@@ -1,4 +1,4 @@
-"""The benchmark's tracer still finds every name it patches.
+"""The benchmark still finds every name it uses.
 
 ``perfbench/spans.py`` wraps holovol's functions and classes by attribute
 name (``harness.build_A``, ``normalization.linprog``,
@@ -7,6 +7,10 @@ gone, so a refactor that drops such a name fails here and not only in the
 benchmark.  The geometry kernels are wrapped where ``minimal_basis`` looks
 them up, so a refactor that calls them by another route would zero their
 per-layer figures; the span counts below catch that too.
+
+``perfbench/gate.py`` imports holovol names of its own, and
+``perfbench/workloads.py`` builds ``harness.Scenario`` objects; if either
+breaks, the gate marks every benchmark run incorrect.
 """
 
 import importlib.util
@@ -15,18 +19,18 @@ from pathlib import Path
 from holovol.domains import L1Ball, domain_to_json, symmetrized_bidisc, unit_ball
 from holovol.harness import run_scenario
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_records_a_ball_image_scenario():
-    spans = _spans()
+    spans = _load("spans")
     config = {"name": "contract", "domain": domain_to_json(unit_ball(2)),
               "points": {"sampler": {"count": 2, "seed": 3}}}
     # both slices at this l1-ball point have closed forms (the second is an
@@ -53,3 +57,18 @@ def test_tracer_records_a_ball_image_scenario():
     assert tracer.calls("normalization.verify") == 3
     assert tracer.calls("geometry.nearest_on_quadric") > 0
     assert tracer.calls("geometry.polar_first_exit") > 0
+
+
+def test_gate_accepts_each_kind_it_scores_or_checks():
+    # the v check runs on ball images and Siegel, the tau scores on l1 balls,
+    # polytopes and ellipsoid oracles; each comes through workloads.run_input
+    gate, workloads = _load("gate"), _load("workloads")
+    entries = [workloads.entry("smooth_mix", 1, i) for i in (0, 1, 4)]
+    entries += [workloads.entry("polytope_normalize", 1, 0), workloads.panel("oracle_polar")[0]]
+    assert [e["kind"] for e in entries] == \
+        ["ball_image", "siegel", "l1ball", "polytope", "ellipsoid_oracle"]
+    items = [(e, run_scenario(workloads.run_input(e), workers=1)) for e in entries]
+    problems, errs = gate.check_reports(items)
+    assert problems == []
+    # one tau error per scored point: 4 l1, 2 polytope and 2 ellipsoid points
+    assert len(errs) == 8
