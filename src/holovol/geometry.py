@@ -22,7 +22,9 @@ point to the domain boundary within an affine complex slice:
   block of radii where one exits; each later membership call cuts every live
   bracket 16-fold, and rows that cannot hold the minimum drop out.  A grid or
   stencil round stops once a single row is left, the proven winner; only the
-  final exit along the refined direction is narrowed to adjacent floats.  It
+  final exit along the refined direction is narrowed to adjacent floats.  A
+  round of half-width delta marches finely only within tau (1 +- 16 delta^2),
+  all that a candidate delta away can still gain near the minimiser.  It
   only needs a membership predicate, so it doubles as the independent
   cross-check for every closed form.
 
@@ -32,6 +34,7 @@ a setting, and neither 1-D search has an iteration count.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -127,20 +130,23 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def sphere_grid(k: int) -> np.ndarray:
     """Deterministic direction grid on the unit sphere of C^k, shape (m, k).
 
     k = 1 is a uniform phase circle starting at e_1.  k >= 2 uses a
     hyperspherical product grid over (k-1) modulus angles and k phases, sized
-    to ~GRID_PER_DIM^k points;
-    the k coordinate directions are prepended so symmetric configurations
-    resolve to coordinate solutions deterministically.  The largest parameter
-    axis (the first among equals) loses one point at a time until the whole
-    grid fits in MAX_GRID rows or every axis is down to 3 points.
+    to ~GRID_PER_DIM^k points; the k coordinate directions are prepended so
+    symmetric configurations resolve to coordinate solutions deterministically.
+    The largest parameter axis (the first among equals) loses one point at a
+    time until the whole grid fits in MAX_GRID rows or every axis is down to
+    3 points.  Each grid is built on first use and returned read-only.
     """
     if k == 1:
         th = np.linspace(0.0, 2.0 * np.pi, GRID_PER_DIM, endpoint=False)
-        return np.exp(1j * th)[:, None]
+        grid = np.exp(1j * th)[:, None]
+        grid.flags.writeable = False
+        return grid
     params = 2 * k - 1
     sizes = [max(3, round(min(GRID_PER_DIM ** k, MAX_GRID) ** (1.0 / params)))] * params
     while math.prod(sizes) + k > MAX_GRID and max(sizes) > 3:
@@ -157,7 +163,9 @@ def sphere_grid(k: int) -> np.ndarray:
     dirs = moduli.astype(np.complex128)
     for j in range(k):
         dirs[:, j] *= np.exp(1j * mesh[k - 1 + j].reshape(-1))
-    return np.vstack([np.eye(k, dtype=np.complex128), dirs])
+    grid = np.vstack([np.eye(k, dtype=np.complex128), dirs])
+    grid.flags.writeable = False
+    return grid
 
 
 def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
@@ -227,27 +235,27 @@ def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
     idx = np.arange(m)  # rows still searched; lo, hi and A hold only these
     least = hi.min()
     frac = np.arange(_SPLIT + 1) / _SPLIT
-    rows = max(1, CHUNK // ((_SPLIT - 1) * n))  # rows per membership call
+    step = max(1, CHUNK // ((_SPLIT - 1) * n)) * (_SPLIT - 1)  # points per membership call
     finished = False
     while True:
         done = np.nextafter(lo, hi) == hi
-        finished = finished or bool(done.any())
-        taus[idx[done]] = 0.5 * (lo[done] + hi[done])
         keep = ~done & (lo <= least)
-        idx, lo, hi, A = idx[keep], lo[keep], hi[keep], A[keep]
-        if not idx.size:
-            return taus
+        if not keep.all():
+            finished = finished or bool(done.any())
+            taus[idx[done]] = 0.5 * (lo[done] + hi[done])
+            idx, lo, hi, A = idx[keep], lo[keep], hi[keep], A[keep]
+            if not idx.size:
+                return taus
         if argmin_only and idx.size == 1 and not finished:
             taus[idx] = hi
             return taus
         r = lo[:, None] + (hi - lo)[:, None] * frac
         r[:, -1] = hi
-        pts = z + r[:, 1:-1, None] * A[:, None, :]
-        outside = np.ones((idx.size, _SPLIT), dtype=bool)
-        for s in range(0, idx.size, rows):
-            outside[s:s + rows, :-1] = ~contains_many(
-                pts[s:s + rows].reshape(-1, n)).reshape(-1, _SPLIT - 1)
-        first = outside.argmax(axis=1)
+        pts = (z + r[:, 1:-1, None] * A[:, None, :]).reshape(-1, n)
+        inside = np.concatenate([contains_many(pts[s:s + step])
+                                 for s in range(0, pts.shape[0], step)])
+        # leading inside samples count the sections below the first outside one
+        first = np.logical_and.accumulate(inside.reshape(-1, _SPLIT - 1), axis=1).sum(axis=1)
         k = np.arange(idx.size)
         lo, hi = r[k, first], r[k, first + 1]
         least = min(least, hi.min())
@@ -296,12 +304,12 @@ def ray_exit(contains_many, z: np.ndarray, a: np.ndarray, reach: float) -> float
 def _stencil(axes: int) -> np.ndarray:
     """Offsets in [-1, 1]^axes around a direction, at most MAX_GRID rows.
 
-    The tensor grid of 5 offsets per axis, else of 3; when even 3^axes exceeds
-    MAX_GRID, the zero offset and the 2*axes points +-e_i (a compass stencil).
-    Row 0 is always the zero offset, so the current direction competes in
-    every round and wins exact ties.
+    One axis gets 33 offsets.  More get the tensor grid of 5 offsets per axis,
+    else of 3; when even 3^axes exceeds MAX_GRID, the zero offset and the
+    2*axes points +-e_i (a compass stencil).  Row 0 is always the zero offset,
+    so the current direction competes in every round and wins exact ties.
     """
-    for m in (5, 3):
+    for m in ((33,) if axes == 1 else (5, 3)):
         if m ** axes <= MAX_GRID:
             ticks = np.linspace(-1.0, 1.0, m)
             mesh = np.meshgrid(*[ticks] * axes, indexing="ij")
@@ -319,8 +327,12 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     The best ray of the direction grid is refined by stencil rounds: every
     candidate direction of a stencil around the current best one, the current
     one included, marches and is searched in one batch; the search moves to
-    the candidate with the least exit, and the stencil shrinks by 3 per round
-    down to STOP_ANGLE.  The grid and each round stop their section search
+    the candidate with the least exit, and the stencil shrinks per round (by
+    12 for the 33 offsets of a k = 1 slice, else by 3) down to STOP_ANGLE.
+    A round's window w = min(0.3, 16 delta^2) only places its finest radii: a
+    candidate that exits below it is still bracketed by the coarse radii, one
+    not out by its top cannot beat the incumbent, and the section search
+    still proves the winner.  The grid and each round stop their section search
     once the winner is proven, so tau is carried between rounds as an upper
     bound on the winner's exit; only the final exit along the refined
     direction is narrowed to adjacent floats.  The result is an upper bound
@@ -343,14 +355,16 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     # since no bracket is assumed for the exit along a nearby ray.  Below
     # tau (1 - w) the radii are those of a uniform march to 1.3 tau; 17 radii
     # then cover the window tau (1 +- w) around the incumbent, whose ray
-    # (offset 0) exits by tau, so nothing beyond the window is marched
+    # (offset 0) exits by tau, so nothing beyond the window is marched.  A
+    # candidate delta away gains O(delta^2) relative, hence w ~ 16 delta^2
     offsets = _stencil(2 * k - 1)
+    shrink = 12.0 if k == 1 else 3.0
     steps = max(MARCH_STEPS // 2, 24)
     delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
     while delta >= STOP_ANGLE:
         cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        w = min(0.3, 4.0 * delta)
+        w = min(0.3, 16.0 * delta * delta)
         coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
         radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
                                 np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
@@ -360,7 +374,7 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
         if math.isfinite(taus[best]):
             tau = float(taus[best])
             w_real = cand[best]
-        delta /= 3.0
+        delta /= shrink
 
     # final exit along the refined direction, marched from 0 again
     a = join_complex(w_real) @ V.T

@@ -203,8 +203,8 @@ def _polar_slice(domain: Domain, z, V) -> SliceDistance:
     return SliceDistance(tau, p, "polar")
 
 
-#: Domain.variant -> kernel(domain, z, V); slice_distance has already
-#: checked that z lies inside the domain
+#: Domain.variant -> kernel(domain, z, V); the caller has already checked
+#: that z lies inside the domain
 SLICE_KERNELS = {
     "halfspace": _halfspace_slice,
     "ball_image": _ball_image_slice,
@@ -223,12 +223,17 @@ def slice_distance(domain: Domain, z, V) -> SliceDistance:
         raise SingularBasis(f"slice basis must be n x k with 1 <= k <= n, got {V.shape}")
     if not orthonormal_columns(V):
         raise SingularBasis("slice basis columns are not orthonormal")
+    return _checked_kernel(domain, z)(domain, z, V)
+
+
+def _checked_kernel(domain: Domain, z):
+    """The slice kernel of the domain's variant, once z is known to lie inside."""
     if not contains(domain, z):
         raise PointOutsideDomain("slice distance requested outside the domain")
     kernel = SLICE_KERNELS.get(domain.variant)
     if kernel is None:
         raise HolovolError(f"no slice-distance backend for {type(domain).__name__}")
-    return kernel(domain, z, V)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
     line) / SingularBasis when the collected directions fail orthogonality.
     """
     z = as_cvector(z, domain.n)
+    kernel = _checked_kernel(domain, z)  # one membership test; every slice shares z
     n = domain.n
     V = np.eye(n, dtype=np.complex128)
     taus = np.empty(n)
@@ -278,7 +284,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
     methods, cons = [], []
     for j in range(n):
         try:
-            r = slice_distance(domain, z, V)
+            r = kernel(domain, z, V)
         except Unbounded as exc:
             # a slice with no boundary means the domain contains a complex line
             raise DegenerateDomain(

@@ -471,9 +471,8 @@ def test_polar_search_matches_quadric_on_ellipsoid_oracles():
         assert np.max(np.abs(polar.taus - exact) / exact) < 1e-5
 
 
-def test_bidisc_predicate_call_budget():
-    # grid and stencil rounds stop at a proven winner: 192 calls and 155k
-    # rows here, against 412 and 286k when every round ran to adjacent floats
+def _counted_bidisc():
+    """The symmetrized bidisc, and the row count of each predicate call on it."""
     G = symmetrized_bidisc()
     pred = G.predicate
     calls = []
@@ -483,9 +482,48 @@ def test_bidisc_predicate_call_budget():
         return pred(pts)
 
     G.predicate = counted
+    return G, calls
+
+
+def test_bidisc_predicate_call_budget():
+    # grid and stencil rounds stop at a proven winner, and each round's window
+    # follows delta^2: 111 calls here, against 192 with a window of 4 delta
+    # and 412 when every round ran to adjacent floats
+    G, calls = _counted_bidisc()
     minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
-    assert len(calls) <= 300
+    assert len(calls) <= 130
     assert sum(calls) <= 200_000
+
+
+def test_minimal_basis_tests_membership_once():
+    # every slice starts from the same z, so one single-point call suffices
+    G, calls = _counted_bidisc()
+    minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
+    assert calls.count(1) == 1
+
+
+def test_a_winner_below_the_window_is_still_found():
+    # the window only places the fine radii: a candidate exiting at 0.8 tau,
+    # far below tau (1 - w), is bracketed by the coarse radii and must win
+    Minv = np.diag([1.0, 1.25])  # semi-axes 1 (e_1, the incumbent) and 0.8 (e_2)
+    z = np.zeros(2, dtype=np.complex128)
+
+    def contains_many(pts):
+        return np.sum(np.abs(pts @ Minv.T) ** 2, axis=1) < 1.0
+
+    t = np.array([0.0, 0.1, 0.3, 0.6, np.pi / 2])
+    A = np.stack([np.cos(t), np.sin(t)], axis=1).astype(np.complex128)
+    exact = _ellipsoid_exits(Minv, z, A)
+    tau, w, steps = 1.0, 1e-10, 32
+    coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
+    radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
+                            np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
+    taus = geometry._batch_exits(contains_many, z, A, radii, argmin_only=True)
+    _, hi, _ = geometry._first_flip(geometry._march_brackets(contains_many, z, A, radii),
+                                    radii)
+    assert int(np.argmin(taus)) == 4 and exact[4] == pytest.approx(0.8 * tau, rel=1e-15)
+    assert exact[4] * (1.0 - 1e-13) <= taus[4] <= hi[4]
+    assert np.isinf(taus[:4]).all()
 
 
 def test_section_search_finds_first_of_two_flips():
@@ -560,6 +598,13 @@ def test_stencil_leads_with_the_zero_offset():
         offsets = geometry._stencil(axes)
         assert not offsets[0].any()
         assert np.abs(offsets[1:]).sum(axis=1).min() > 0.0  # one zero row
+
+
+def test_sphere_grid_is_built_once_and_read_only():
+    for k in (1, 2):
+        grid = geometry.sphere_grid(k)
+        assert geometry.sphere_grid(k) is grid
+        assert not grid.flags.writeable
 
 
 def test_one_dimensional_grid_is_the_phase_circle_alone():
