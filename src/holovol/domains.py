@@ -111,6 +111,12 @@ def cayley_jacobian_det(w: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def reject_unknown_keys(data: dict, allowed, what: str) -> None:
+    """ConfigInvalid naming every key of the config object `data` not in `allowed`."""
+    if unknown := sorted(str(key) for key in set(data) - set(allowed)):
+        raise ConfigInvalid(f"unknown {what} keys: {unknown}")
+
+
 def _require_finite(what: str, *arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ConfigInvalid(f"{what} must be finite")
@@ -128,13 +134,12 @@ def polydisc_box(center: np.ndarray, radii) -> np.ndarray:
 def _rejection_sample(domain: "Domain", count: int, rng: np.random.Generator,
                       box) -> np.ndarray:
     """Uniform samples inside `box` that `domain` accepts; fails on low acceptance."""
-    n = domain.n
     box = np.asarray(box, dtype=np.float64)
-    out = np.empty((0, n), dtype=np.complex128)
+    out = np.empty((0, domain.n), dtype=np.complex128)
     attempts = 0
     while out.shape[0] < count:
         m = max(4 * count, 512)
-        u = rng.random((m, 2 * n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
+        u = rng.random((m, 2 * domain.n)) * (box[:, 1] - box[:, 0]) + box[:, 0]
         cand = u[:, 0::2] + 1j * u[:, 1::2]
         out = np.vstack([out, cand[domain.contains_many(cand)]])
         attempts += 1
@@ -205,10 +210,8 @@ class Domain:
     def circumscribed_radius(self, z: np.ndarray) -> float:
         return math.inf
 
-    def sample(self, count: int, rng: np.random.Generator, box=None) -> np.ndarray:
-        if box is None:
-            raise UnboundedDomain("rejection sampling needs a bounding box")
-        return _rejection_sample(self, count, rng, box)
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        raise UnboundedDomain("rejection sampling needs a bounding box")
 
     def outward_normal(self, p: np.ndarray, constraint_index: int | None = None):
         raise UnsupportedDomain(
@@ -347,12 +350,12 @@ class HalfspaceConvex(Domain):
         verts = self._triangulation[1].view(np.complex128)
         return float(np.linalg.norm(verts - z, axis=1).max())
 
-    def sample(self, count, rng, box=None):
-        """Exactly uniform on a bounded polytope without a box: a simplex is
-        picked by volume and weighted by normalised exponentials (Devroye
-        1986, ch. V); rows that rounding puts on a facet are drawn again."""
-        if box is not None or not self.bounded:
-            return super().sample(count, rng, box)
+    def sample(self, count, rng):
+        """Exactly uniform on a bounded polytope: a simplex is picked by
+        volume and weighted by normalised exponentials (Devroye 1986, ch. V);
+        rows that rounding puts on a facet are drawn again."""
+        if not self.bounded:
+            return super().sample(count, rng)
         x0, _, edges, cum = self._triangulation
         out = np.empty((0, self.n), dtype=np.complex128)
         while out.shape[0] < count:
@@ -394,6 +397,8 @@ class HalfspaceConvex(Domain):
     @classmethod
     def from_json(cls, n, data):
         cons = data["constraints"]
+        for c in cons:
+            reject_unknown_keys(c, ("a", "b"), "halfspace constraint")
         return cls(n, normals=np.array([_j2vec(c["a"]) for c in cons]),
                    offsets=np.array([float(c["b"]) for c in cons]))
 
@@ -431,17 +436,12 @@ class AffineBallImage(Domain):
     @property
     def exact_oracle(self) -> ExactOracle:
         M, c, det = self.matrix, self.center, self._det
-
-        def forward(w):
-            return np.atleast_2d(w) @ M.T + c
-
-        def inverse(z):
-            return self.to_ball(np.atleast_2d(z))
-
-        def jac(w):
-            return np.full(np.atleast_2d(w).shape[0], det, dtype=np.complex128)
-
-        return ExactOracle(self.n, forward, inverse, jac)
+        return ExactOracle(
+            self.n,
+            forward=lambda w: np.atleast_2d(w) @ M.T + c,
+            inverse=lambda z: self.to_ball(np.atleast_2d(z)),
+            jacobian_det=lambda w: np.full(np.atleast_2d(w).shape[0], det, dtype=np.complex128),
+        )
 
     def diameter(self) -> float:
         return 2.0 * float(self._sv[0])
@@ -449,7 +449,7 @@ class AffineBallImage(Domain):
     def circumscribed_radius(self, z):
         return safe_norm(z - self.center) + float(self._sv[0])
 
-    def sample(self, count, rng, box=None):
+    def sample(self, count, rng):
         return self.exact_oracle.forward(uniform_ball(self.n, count, rng))
 
     def outward_normal(self, p, constraint_index=None):
@@ -504,7 +504,7 @@ class Polydisc(Domain):
     def circumscribed_radius(self, z):
         return safe_norm(np.abs(z - self.center) + self.radii)
 
-    def sample(self, count, rng, box=None):
+    def sample(self, count, rng):
         u = rng.random((count, self.n))
         theta = rng.random((count, self.n)) * 2 * np.pi
         return self.center + self.radii * np.sqrt(u) * np.exp(1j * theta)
@@ -559,7 +559,7 @@ class L1Ball(Domain):
         nz = safe_norm(z)
         return math.sqrt(nz * nz + s * s + 2.0 * s * float(np.max(np.abs(z))))
 
-    def sample(self, count, rng, box=None):
+    def sample(self, count, rng):
         return self.scale * sample_en(self.n, count, rng)
 
     def outward_normal(self, p, constraint_index=None):
@@ -601,7 +601,7 @@ class SiegelHalfSpace(Domain):
             jacobian_det=lambda w: cayley_jacobian_det(np.atleast_2d(w), n),
         )
 
-    def sample(self, count, rng, box=None):
+    def sample(self, count, rng):
         # coverage, not uniformity, is the contract
         return cayley(uniform_ball(self.n, count, rng))
 
@@ -665,10 +665,10 @@ class MembershipOracle(Domain):
         c, r = self.enclosing_polydisc
         return safe_norm(np.abs(z - c) + r)
 
-    def sample(self, count, rng, box=None):
-        if box is None and self.enclosing_polydisc is not None:
-            box = polydisc_box(*self.enclosing_polydisc)
-        return super().sample(count, rng, box)
+    def sample(self, count, rng):
+        if self.enclosing_polydisc is None:
+            return super().sample(count, rng)
+        return _rejection_sample(self, count, rng, polydisc_box(*self.enclosing_polydisc))
 
     def to_json(self) -> dict:
         if self.predicate_name is None:
@@ -677,9 +677,6 @@ class MembershipOracle(Domain):
 
     @classmethod
     def from_json(cls, n, data):
-        unknown = sorted(set(data) - {"variant", "n", "class", "predicate"})
-        if unknown:
-            raise ConfigInvalid(f"unknown oracle keys: {unknown}")
         name = data["predicate"]
         meta = ORACLE_PREDICATES.get(name)
         if meta is None:
@@ -753,14 +750,16 @@ def sample_interior(domain: Domain, count: int, rng: np.random.Generator,
                     box: np.ndarray | None = None) -> np.ndarray:
     """Draw `count` interior points.
 
-    Ball images map uniform ball samples through F; polydiscs sample each disc;
-    the Siegel half-space pushes ball samples through the Cayley map (coverage,
-    not uniformity, is the contract).  Bounded polytopes sample their cached
-    triangulation exactly.  Given `box` (real (2n, 2) bounds), halfspace and
-    oracle domains rejection-sample inside it; oracles default to their
-    enclosing polydisc, and unbounded polytopes need the box.
+    Given `box` (real (2n, 2) bounds), every domain rejection-samples inside
+    it.  Otherwise ball images map uniform ball samples through F; polydiscs
+    sample each disc; the Siegel half-space pushes ball samples through the
+    Cayley map (coverage, not uniformity, is the contract).  Bounded polytopes
+    sample their cached triangulation exactly, and oracles their enclosing
+    polydisc; other domains raise UnboundedDomain.
     """
-    return domain.sample(count, rng, box)
+    if box is None:
+        return domain.sample(count, rng)
+    return _rejection_sample(domain, count, rng, box)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +794,7 @@ def domain_to_json(domain: Domain) -> dict:
 
 
 def domain_from_json(data: dict) -> Domain:
-    """Parse the documented schema; raises ConfigInvalid on malformed input."""
+    """Parse the documented schema; ConfigInvalid on malformed input or an unknown key."""
     try:
         variant, n = data["variant"], data["n"]
     except (KeyError, TypeError) as exc:
@@ -809,8 +808,8 @@ def domain_from_json(data: dict) -> Domain:
     if cls is None:
         raise ConfigInvalid(f"unknown domain variant {variant!r}")
     try:
-        return cls.from_json(n, data)
-    except HolovolError:
-        raise
+        domain = cls.from_json(n, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed {variant!r} domain config: {exc}") from exc
+    reject_unknown_keys(data, domain.to_json(), variant)
+    return domain

@@ -22,11 +22,11 @@ point to the domain boundary within an affine complex slice:
   block of radii where one exits; each later membership call cuts every live
   bracket 16-fold, and rows that cannot hold the minimum drop out.  A grid or
   stencil round stops once a single row is left, the proven winner; only the
-  final exit along the refined direction is narrowed to adjacent floats.  A
-  round of half-width delta marches finely only within tau (1 +- 16 delta^2),
-  all that a candidate delta away can still gain near the minimiser.  It
-  only needs a membership predicate, so it doubles as the independent
-  cross-check for every closed form.
+  last round's winner is narrowed to adjacent floats.  A round of half-width
+  delta marches finely only within tau (1 +- 16 delta^2), all that a
+  candidate delta away can still gain near the minimiser.  It only needs a
+  membership predicate, so it doubles as the independent cross-check for
+  every closed form.
 
 The search policy is fixed by the module constants below; no function takes
 a setting, and neither 1-D search has an iteration count.
@@ -334,10 +334,10 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     not out by its top cannot beat the incumbent, and the section search
     still proves the winner.  The grid and each round stop their section search
     once the winner is proven, so tau is carried between rounds as an upper
-    bound on the winner's exit; only the final exit along the refined
-    direction is narrowed to adjacent floats.  The result is an upper bound
-    on the true distance; its accuracy is empirical and callers treat it as
-    the approximate path.
+    bound on the winner's exit; only the last round's winner is narrowed to
+    adjacent floats, within the bracket that round's march found.  The result
+    is an upper bound on the true distance; its accuracy is empirical and
+    callers treat it as the approximate path.
     """
     n, k = V.shape
     dirs = sphere_grid(k)
@@ -368,18 +368,13 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
         coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
         radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
                                 np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
+        # the last round, whose successor would fall below STOP_ANGLE,
+        # narrows its winner to adjacent floats instead of stopping at the proof
         taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,
-                            radii, argmin_only=True)
+                            radii, argmin_only=delta / shrink >= STOP_ANGLE)
         best = int(np.argmin(taus))  # exact ties go to the incumbent, row 0
         if math.isfinite(taus[best]):
             tau = float(taus[best])
             w_real = cand[best]
         delta /= shrink
-
-    # final exit along the refined direction, marched from 0 again
-    a = join_complex(w_real) @ V.T
-    r = ray_exit(contains_many, z, a, 1.5 * tau)
-    if math.isfinite(r):
-        tau = r
-    p = z + tau * a
-    return tau, p
+    return tau, z + tau * (join_complex(w_real) @ V.T)

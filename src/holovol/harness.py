@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import numbers
 import sys
@@ -46,6 +45,7 @@ from .domains import (
     domain_to_json,
     exact_volume_element,
     polydisc_box,
+    reject_unknown_keys,
     sample_interior,
 )
 from .errors import (
@@ -67,8 +67,6 @@ from .volume_elements import (
     monotonicity_bounds,
     quotient_lower_bound,
 )
-
-log = logging.getLogger("holovol")
 
 ALL_CHECKS = (
     "theorem_ge",
@@ -129,6 +127,8 @@ def _tolerances(data) -> dict:
 def parse_scenario(config: dict) -> Scenario:
     if not isinstance(config, dict):
         raise ConfigInvalid("scenario config must be a JSON object")
+    reject_unknown_keys(config, ("name", "domain", "points", "checks", "tolerances"),
+                        "scenario")
     if "domain" not in config:
         raise ConfigInvalid("scenario config needs a 'domain' entry")
     domain = domain_from_json(config["domain"])
@@ -139,6 +139,8 @@ def parse_scenario(config: dict) -> Scenario:
     explicit_cfg, sampler = pts_cfg.get("explicit", []), pts_cfg.get("sampler") or {}
     if not isinstance(explicit_cfg, list) or not isinstance(sampler, dict):
         raise ConfigInvalid("points.explicit must be a list and points.sampler an object")
+    reject_unknown_keys(pts_cfg, ("explicit", "sampler"), "points")
+    reject_unknown_keys(sampler, ("count", "seed", "box"), "points.sampler")
     explicit = [_parse_point(p, n) for p in explicit_cfg]
     count = int(_number(sampler.get("count", 0), "sampler count", numbers.Integral, 0))
     seed = int(_number(sampler.get("seed", 0), "sampler seed", numbers.Integral, 0))
@@ -146,6 +148,7 @@ def parse_scenario(config: dict) -> Scenario:
     if "box" in sampler:
         b = sampler["box"]
         try:
+            reject_unknown_keys(b, ("center", "radii"), "sampler box")
             center = np.array([complex(p[0], p[1]) for p in b["center"]])
             radii = np.asarray(b["radii"], dtype=float)
         except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -161,6 +164,8 @@ def parse_scenario(config: dict) -> Scenario:
         bad = sorted({str(c) for c in checks} - set(ALL_CHECKS))
         if bad:
             raise ConfigInvalid(f"unknown checks: {bad}")
+        if len(set(checks)) < len(checks):
+            raise ConfigInvalid(f"duplicate checks: {checks}")
     tol = _tolerances(config.get("tolerances", {}))
     return Scenario(
         domain=domain,

@@ -28,6 +28,7 @@ from holovol.domains import (
     domain_from_json,
     domain_to_json,
     exact_volume_element,
+    polydisc_box,
     sample_interior,
     symmetrized_bidisc,
     unit_ball,
@@ -280,6 +281,19 @@ def test_sample_interior_stays_inside():
     box = np.array([[-1.0, 1.0]] * 4)
     pts = sample_interior(sq, 300, rng, box=box)
     assert np.all(sq.contains_many(pts))
+
+
+def test_every_backend_samples_inside_a_given_box():
+    # a box of radius 0.01 around (0.2, 0.1i): direct samplers ignored it once
+    center = np.array([0.2, 0.1j])
+    box = polydisc_box(center, np.full(2, 0.01))
+    rng = np.random.default_rng(41)
+    for dom in (unit_ball(2), Polydisc(2, center=np.zeros(2), radii=np.ones(2)),
+                L1Ball(n=2, scale=1.0), SiegelHalfSpace(n=2)):
+        pts = sample_interior(dom, 200, rng, box=box)
+        assert pts.shape == (200, 2) and np.all(dom.contains_many(pts))
+        assert np.all(np.abs(pts.real - center.real) <= 0.01)
+        assert np.all(np.abs(pts.imag - center.imag) <= 0.01)
 
 
 def test_l1ball_sampler_is_uniform():

@@ -206,6 +206,26 @@ MALFORMED = {
     "tolerance_not_a_number": (_malformed(tolerances={"check_tol": "tight"}), 1,
                                "tolerance 'check_tol'"),
     "workers_zero": (_malformed(), 0, "workers"),
+    "sampler_key_typo": (_malformed(points={"sampler": {"cuont": 3}}), 1,
+                         r"unknown points.sampler keys: \['cuont'\]"),
+    "scenario_key_typo": (_malformed(chekcs=["theorem_ge"]), 1,
+                          r"unknown scenario keys: \['chekcs'\]"),
+    "points_key_typo": (_malformed(points={"samplr": {"count": 2}}), 1,
+                        r"unknown points keys: \['samplr'\]"),
+    "polydisc_scale": (_malformed(domain={
+        "variant": "polydisc", "n": 2, "center": [[0, 0], [0, 0]], "radii": [1.0, 1.0],
+        "scale": 2.0}), 1, r"unknown polydisc keys: \['scale'\]"),
+    "l1_radii": (_malformed(domain={"variant": "l1ball", "n": 2, "scale": 1.0,
+                                    "radii": [1.0, 1.0]}), 1,
+                 r"unknown l1ball keys: \['radii'\]"),
+    "box_extra_key": (_malformed(points={"sampler": {"count": 1, "box": {
+        "center": [[0, 0], [0, 0]], "radii": [1.0, 1.0], "shape": "disc"}}}), 1,
+        r"unknown sampler box keys: \['shape'\]"),
+    "constraint_extra_key": (_malformed(domain={
+        **STRIP, "constraints": [{"a": [[1, 0], [0, 0]], "b": 1.0, "strict": True}]}), 1,
+        r"unknown halfspace constraint keys: \['strict'\]"),
+    "duplicate_checks": (_malformed(checks=["theorem_ge", "theorem_ge"]), 1,
+                         "duplicate checks"),
 }
 
 

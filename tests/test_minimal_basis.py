@@ -486,13 +486,41 @@ def _counted_bidisc():
 
 
 def test_bidisc_predicate_call_budget():
-    # grid and stencil rounds stop at a proven winner, and each round's window
-    # follows delta^2: 111 calls here, against 192 with a window of 4 delta
-    # and 412 when every round ran to adjacent floats
+    # grid and stencil rounds stop at a proven winner, each round's window
+    # follows delta^2, and only the last round's winner is narrowed to
+    # adjacent floats: 85 calls here, against 111 with a second march and
+    # search along the winning direction, 192 with a window of 4 delta and
+    # 412 when every round ran to adjacent floats
     G, calls = _counted_bidisc()
     minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
-    assert len(calls) <= 130
+    assert len(calls) <= 95
     assert sum(calls) <= 200_000
+
+
+def _polar_cases():
+    """(predicate, z, V, cap): ellipsoid oracles of C^2 and C^3 on slices of
+    every dimension k = 1..n, and the bidisc on the plane and on a line."""
+    rng = np.random.default_rng(2503)
+    for n in (2, 3):
+        M = (random_unitary(n, rng) * rng.uniform(0.4, 1.5, n)) @ random_unitary(n, rng)
+        ball = AffineBallImage(n, matrix=M, center=np.zeros(n))
+        z = M @ (0.6 * uniform_ball(n, 1, rng)[0])
+        U = random_unitary(n, rng)
+        for k in range(1, n + 1):
+            yield ball.contains_many, z, U[:, :k], ball.circumscribed_radius(z)
+    G = symmetrized_bidisc()
+    z = np.array([0.3 - 0.2j, 0.1 + 0.15j])
+    for V in (np.eye(2, dtype=np.complex128), np.array([[0.6 + 0j], [0.8j]])):
+        yield G.contains_many, z, V, G.circumscribed_radius(z)
+
+
+@pytest.mark.parametrize("contains_many, z, V, cap", list(_polar_cases()))
+def test_polar_tau_is_the_first_exit_along_its_direction(contains_many, z, V, cap):
+    # tau is narrowed in place, inside the last round's bracket: marching the
+    # returned direction afresh from 0 finds the same exit
+    tau, p = geometry.polar_first_exit(contains_many, z, V, cap)
+    again = geometry.ray_exit(contains_many, z, (p - z) / tau, 1.5 * tau)
+    assert abs(tau - again) <= 1e-14 * again
 
 
 def test_minimal_basis_tests_membership_once():
