@@ -625,7 +625,8 @@ class MembershipOracle(Domain):
     """Domain known only through a membership predicate.
 
     The predicate takes an (m, n) complex array and returns an (m,) boolean
-    array; any other shape raises DimensionMismatch.
+    array; any other shape raises DimensionMismatch.  Each call gets a fresh
+    array, which may be a non-contiguous view whose columns are contiguous.
     ``enclosing_polydisc`` -- (center, radii) -- is optional but unlocks finite
     diameters/circumscribed radii and default sampling boxes.
     """
@@ -652,7 +653,7 @@ class MembershipOracle(Domain):
         if out.shape != (pts.shape[0],):
             raise DimensionMismatch(
                 f"predicate returned shape {out.shape} for {pts.shape[0]} points")
-        return out.astype(bool)
+        return out.astype(bool, copy=False)
 
     def diameter(self) -> float:
         if self.enclosing_polydisc is None:
@@ -801,9 +802,6 @@ def domain_from_json(data: dict) -> Domain:
         raise ConfigInvalid(f"domain config missing variant/n: {exc}") from exc
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
         raise ConfigInvalid(f"domain n must be an integer >= 2, got {n!r}")
-    cls_tag = data.get("class", CONVEX)
-    if cls_tag not in (CONVEX, C_CONVEX):
-        raise ConfigInvalid(f"unknown convexity class {cls_tag!r}")
     cls = VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise ConfigInvalid(f"unknown domain variant {variant!r}")
@@ -812,4 +810,7 @@ def domain_from_json(data: dict) -> Domain:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"malformed {variant!r} domain config: {exc}") from exc
     reject_unknown_keys(data, domain.to_json(), variant)
+    if data.get("class", domain.convexity_class) != domain.convexity_class:
+        raise ConfigInvalid(f"a {variant!r} domain is {domain.convexity_class}, "
+                            f"not {data['class']!r}")
     return domain

@@ -24,7 +24,9 @@ point to the domain boundary within an affine complex slice:
   stencil round stops once a single row is left, the proven winner; only the
   last round's winner is narrowed to adjacent floats.  A round of half-width
   delta marches finely only within tau (1 +- 16 delta^2), all that a
-  candidate delta away can still gain near the minimiser.  It only needs a
+  candidate delta away can still gain near the minimiser.  Each batch of
+  points z + r*a is built coordinate-major and handed over as its transposed
+  (rows, n) view, one membership call per CHUNK rows.  It only needs a
   membership predicate, so it doubles as the independent cross-check for
   every closed form.
 
@@ -174,11 +176,17 @@ def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
     lo is the radius sampled before hi (0 before the first), so the radii
     need not be evenly spaced.
     """
-    outside = ~inside_rows
-    exited = outside.any(axis=1)
-    first = np.argmax(outside, axis=1)
-    below = np.concatenate([[0.0], radii[:-1]])
-    return below[first], radii[first], exited
+    first = np.argmin(inside_rows, axis=1)  # the first outside sample, else 0
+    later = first > 0
+    return np.where(later, radii[first - 1], 0.0), radii[first], later | ~inside_rows[:, 0]
+
+
+def _ray_points(z, A, r):
+    """z + r*A[i] at radii r, shared (c,) or per ray (m, c), as (m*c, n) rows ray
+    by ray, bit for bit; built as (n, m, c), so each column is contiguous."""
+    P = np.multiply(A.T[:, :, None], r, order="C")
+    P += z[:, None, None]
+    return P.reshape(A.shape[1], -1).T
 
 
 def _march_brackets(contains_many, z, A, radii):
@@ -194,16 +202,16 @@ def _march_brackets(contains_many, z, A, radii):
     m, n = A.shape
     count = radii.shape[0]
     widest = max(1, CHUNK // (m * n))  # most radii per block
-    width = count if widest >= count else 1
+    if widest >= count:
+        return contains_many(_ray_points(z, A, radii)).reshape(m, count)
     inside = np.ones((m, count), dtype=bool)
-    c = 0
+    c, width = 0, 1
     while c < count:
         cols = slice(c, c + width)
         rows = max(1, CHUNK // (width * n))  # rays per membership call
         for s in range(0, m, rows):
-            block = A[s:s + rows]  # (b, n)
-            pts = z[None, None, :] + radii[None, cols, None] * block[:, None, :]
-            inside[s:s + rows, cols] = contains_many(pts.reshape(-1, n)).reshape(len(block), -1)
+            part = inside[s:s + rows, cols]
+            part[:] = contains_many(_ray_points(z, A[s:s + rows], radii[cols])).reshape(part.shape)
         if not inside[:, cols].all():
             break
         c += width
@@ -251,9 +259,10 @@ def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
             return taus
         r = lo[:, None] + (hi - lo)[:, None] * frac
         r[:, -1] = hi
-        pts = (z + r[:, 1:-1, None] * A[:, None, :]).reshape(-1, n)
-        inside = np.concatenate([contains_many(pts[s:s + step])
-                                 for s in range(0, pts.shape[0], step)])
+        pts = _ray_points(z, A, r[:, 1:-1])
+        inside = (contains_many(pts) if pts.shape[0] <= step else
+                  np.concatenate([contains_many(pts[s:s + step])
+                                  for s in range(0, pts.shape[0], step)]))
         # leading inside samples count the sections below the first outside one
         first = np.logical_and.accumulate(inside.reshape(-1, _SPLIT - 1), axis=1).sum(axis=1)
         k = np.arange(idx.size)
@@ -263,16 +272,20 @@ def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
 
 def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the tangent space of the sphere at w_real (unit)."""
-    d = w_real.shape[0]
-    # Householder mapping e_1 -> w_real; columns 2..d span the tangent space.
+    # columns 2..d of the Householder matrix mapping e_1 -> w_real
     u = w_real.copy()
     u[0] -= math.copysign(1.0, w_real[0] if w_real[0] != 0 else 1.0)
-    nu = np.linalg.norm(u)
-    if nu < 1e-14:
-        return np.eye(d)[:, 1:]
-    u /= nu
-    H = np.eye(d) - 2.0 * np.outer(u, u)
-    return H[:, 1:]
+    nu = math.sqrt(u.dot(u))
+    eye = np.eye(u.shape[0])[:, 1:]
+    return eye if nu < 1e-14 else eye - 2.0 * np.multiply.outer(u / nu, u[1:] / nu)
+
+
+def _linspace(a: float, b: float, ticks: np.ndarray) -> np.ndarray:
+    """np.linspace(a, b, ticks.size) bit for bit, ticks = np.arange(size) as floats,
+    unless its step underflows to 0 (a round's would only at tau < 1e-300)."""
+    r = ticks * ((b - a) / (ticks.shape[0] - 1)) + a
+    r[-1] = b
+    return r
 
 
 def _batch_exits(contains_many, z, A, radii, argmin_only=False) -> np.ndarray:
@@ -360,14 +373,15 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     offsets = _stencil(2 * k - 1)
     shrink = 12.0 if k == 1 else 3.0
     steps = max(MARCH_STEPS // 2, 24)
+    coarse_ticks, fine_ticks = np.arange(float(steps)), np.arange(17.0)
     delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
     while delta >= STOP_ANGLE:
         cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         w = min(0.3, 16.0 * delta * delta)
-        coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
+        coarse = _linspace(1.3 * tau / steps, 1.3 * tau, coarse_ticks)
         radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
-                                np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
+                                _linspace(tau * (1.0 - w), tau * (1.0 + w), fine_ticks)])
         # the last round, whose successor would fall below STOP_ANGLE,
         # narrows its winner to adjacent floats instead of stopping at the proof
         taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,

@@ -226,6 +226,9 @@ MALFORMED = {
         r"unknown halfspace constraint keys: \['strict'\]"),
     "duplicate_checks": (_malformed(checks=["theorem_ge", "theorem_ge"]), 1,
                          "duplicate checks"),
+    # a ball image is convex: the C-convex constants would not apply to it
+    "ball_image_c_convex": (_malformed(domain={**BALL2, "class": "c_convex"}), 1,
+                            "a 'ball_image' domain is convex, not 'c_convex'"),
 }
 
 

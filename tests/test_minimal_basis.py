@@ -490,11 +490,12 @@ def test_bidisc_predicate_call_budget():
     # follows delta^2, and only the last round's winner is narrowed to
     # adjacent floats: 85 calls here, against 111 with a second march and
     # search along the winning direction, 192 with a window of 4 delta and
-    # 412 when every round ran to adjacent floats
+    # 412 when every round ran to adjacent floats.  The calls hold 152,513
+    # rows; a change to how batches are built must not add rows
     G, calls = _counted_bidisc()
     minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
     assert len(calls) <= 95
-    assert sum(calls) <= 200_000
+    assert sum(calls) <= 155_000
 
 
 def _polar_cases():
@@ -619,6 +620,54 @@ def test_argmin_only_section_search_proves_the_winner(seed, m):
     # below the closed-form exit
     assert exact[win] * (1.0 - 1e-13) <= fast[win] <= hi[win]
     assert np.isinf(np.delete(fast, win)).all()
+
+
+def _ray_batch_shapes(n):
+    """(m, c) edge cases: one ray, one radius, both, a section-search-sized
+    batch, and the largest m with m*c*n <= CHUNK for 100 radii (= CHUNK at
+    n = 1, 2, 4)."""
+    return [(1, 1), (1, 64), (4098, 1), (9, 15), (geometry.CHUNK // (100 * n), 100)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ray_points_match_the_broadcast_bit_for_bit(n):
+    rng = np.random.default_rng(2600 + n)
+    for m, c in _ray_batch_shapes(n):
+        A = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        shared = np.sort(rng.uniform(0.0, 2.0, c))
+        per_ray = rng.uniform(0.0, 2.0, (m, c))
+        for r, broadcast in (
+                (shared, z[None, None, :] + shared[None, :, None] * A[:, None, :]),
+                (per_ray, z + per_ray[:, :, None] * A[:, None, :])):
+            pts = geometry._ray_points(z, A, r)
+            assert pts.shape == (m * c, n) and pts.dtype == np.complex128
+            assert np.array_equal(pts, broadcast.reshape(-1, n))
+            assert pts.T.flags.c_contiguous  # each coordinate column is contiguous
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_predicate_gets_rows_by_n_complex_arrays(n):
+    # a polar search on a ball oracle, including the blocked march of the
+    # k = 2 grid (4,098 rays), then a section search of more rays than one
+    # membership call takes
+    ball = unit_ball(n)
+    seen = []
+
+    def recorded(pts):
+        seen.append((pts.ndim, pts.shape[1], pts.dtype))
+        return ball.contains_many(pts)
+
+    z = np.full(n, 0.2 + 0.1j)
+    geometry.polar_first_exit(recorded, z, np.eye(n, dtype=np.complex128)[:, :2], 1.0)
+    rng = np.random.default_rng(26)
+    m = geometry.CHUNK // (15 * n) + 1
+    A = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    calls = len(seen)
+    taus = geometry._section_search(recorded, z, A, np.zeros(m), np.full(m, 2.0))
+    assert len(seen) > calls and np.isfinite(taus).any()
+    assert set(seen) == {(2, n, np.dtype(np.complex128))}
 
 
 def test_stencil_leads_with_the_zero_offset():
