@@ -4,15 +4,15 @@ Two independent routes to the same quantity -- the distance from an interior
 point to the domain boundary within an affine complex slice:
 
 * :func:`nearest_on_quadric` solves the smooth-backend case exactly.  Ball
-  images and the Siegel half-space restrict to a real quadric constraint
-  ``q(xi) = xi^T H xi + 2 phi . xi + g = 0`` (H PSD, g < 0 inside).  In the
-  eigenbasis of H the minimum-norm boundary point is
-  xi_k = phi_k / (eps + lambda_max - lambda_k), where eps > 0 is the root of
-  the secular equation of this one-constraint trust-region projection (More
-  & Sorensen 1983).  One bisection in eps runs to adjacent floats, and the
-  classical hard case (top eigencomponents of phi vanish) is handled
-  explicitly.  After one ``eigh``, each of the ~50 evaluations of q is a
-  scalar loop over at most six Python floats, added left to right.
+  images and the Siegel half-space restrict, in the slice's own complex
+  coordinates c, to the quadric ``q(c) = c* H c + 2 Re(phi* c) + g = 0``
+  (H Hermitian PSD, g < 0 inside).  In the eigenbasis of H the minimum-norm
+  boundary point is c_k = phi_k / (eps + lambda_max - lambda_k), where
+  eps > 0 is the root of the secular equation of this one-constraint
+  trust-region projection (More & Sorensen 1983).  One bisection in eps runs
+  to adjacent floats, and the classical hard case (top eigencomponents of
+  phi vanish) is handled explicitly.  After one k x k ``eigh``, each of the
+  ~50 evaluations of q is a scalar loop over k floats, added left to right.
 
 * :func:`polar_first_exit` is the generic oracle: march rays from the point
   along a deterministic direction grid on the slice sphere, bracket the first
@@ -42,7 +42,6 @@ import math
 import numpy as np
 
 from .errors import Unbounded
-from .linalg import join_complex
 
 #: about GRID_PER_DIM^k directions in the initial grid of a k-dimensional slice
 GRID_PER_DIM = 64
@@ -57,13 +56,13 @@ CHUNK = 200_000
 
 
 def _secular_eps(eps, gaps, lam, phi2, g):
-    """q(xi) at xi_k = phi_k / d_k, d_k = eps + (lmax - lam_k): the secular
-    function in eps = 1/t - lmax, where each term is phi_k^2 (2 d_k + lam_k) / d_k^2.
+    """q(c) at c_k = phi_k / d_k, d_k = eps + (lmax - lam_k): the secular
+    function in eps = 1/t - lmax, where each term is |phi_k|^2 (2 d_k + lam_k) / d_k^2.
 
-    gaps, lam and phi2 are lists of at most six Python floats, which cost less
-    here than arrays.  The terms are summed left to right, the order np.sum
-    uses on so few, so the loop matches the array form bit for bit.  A zero
-    d_k is guarded, phi2 == 0 terms are 0, and a sum that overflows is +inf.
+    gaps, lam and phi2 are lists of k Python floats, which cost less here
+    than arrays.  The terms are summed left to right, the order np.sum uses
+    on so few, so the loop matches the array form bit for bit.  A zero d_k is
+    guarded, phi2 == 0 terms are 0, and a sum that overflows is +inf.
     """
     s = 0.0
     for gk, lk, pk in zip(gaps, lam, phi2):
@@ -74,49 +73,50 @@ def _secular_eps(eps, gaps, lam, phi2, g):
 
 
 def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
-    """Minimum-norm xi with xi^T H xi + 2 phi.xi + g = 0 (H PSD, g < 0).
+    """Minimum-norm c with c* H c + 2 Re(phi* c) + g = 0 (H k x k Hermitian
+    PSD, g < 0); real symmetric input gives a real c.
 
-    xi is rescaled by a power of two so that max|H| is about 1; that is exact,
-    so no test below depends on the size of the domain.  The constraint is
-    affine when lmax |g| <= 1e-15 |phi|^2, and Unbounded is raised only when
-    H == 0 and phi == 0.  Otherwise q decreases in eps = 1/t - lmax, and is
-    bisected until the ends are adjacent floats, from 1e-13 lmax up to
+    c = s eta, s a power of two with max|H| s^2 about 1, applied as the factor
+    s (s^2 overflows when H is subnormal); that is exact, so no test below
+    depends on the size of the domain.  The constraint is affine when
+    lmax |g| <= 1e-15 |phi|^2, and Unbounded is raised only when H == 0 and
+    phi == 0.  Otherwise q decreases in eps = 1/t - lmax, and is bisected
+    until the ends are adjacent floats, from 1e-13 lmax up to
     4P/|g| + sqrt(2 P lmax/|g|), P = |phi|^2.  There q <= 0, as each term
-    phi_k^2 (2/d_k + lam_k/d_k^2) is at most phi_k^2 (2/eps + lmax/eps^2), and
-    the affine test keeps that end finite.  If q <= 0 already at 1e-13 lmax,
-    phi has (numerically) no top eigencomponent: the hard case, whose ties are
-    broken deterministically by projecting e_1, e_2, ... onto the top
-    eigenspace, which reproduces e_1-style choices at symmetric configurations.
+    |phi_k|^2 (2/d_k + lam_k/d_k^2) is at most |phi_k|^2 (2/eps + lmax/eps^2),
+    and the affine test keeps that end finite.  If q <= 0 already at
+    1e-13 lmax, phi has (numerically) no top eigencomponent: the hard case,
+    whose ties go to the projection of the first e_m onto the top eigenspace
+    that is not 0, so symmetric configurations resolve to e_1-style choices.
     """
     if not g < 0:
         raise ValueError("quadric projection expects an interior point (g < 0)")
     hmax = float(np.max(np.abs(H)))
-    e = -(math.frexp(hmax)[1] // 2)  # xi = 2^e eta; frexp(0) gives e = 0
-    H, phi = np.ldexp(H, 2 * e), np.ldexp(phi, e)
+    s = math.ldexp(1.0, -(math.frexp(hmax)[1] // 2))  # c = s eta; frexp(0) gives s = 1
+    H, phi = H * s * s, phi * s
     lam, Q = np.linalg.eigh(H)
     lam = np.clip(lam, 0.0, None)
     lmax = float(lam[-1])
-    n2 = float(phi @ phi)
+    n2 = float(np.vdot(phi, phi).real)
     if lmax * -g <= 1e-15 * n2:
-        # constraint is affine: 2 phi.xi + g = 0
+        # constraint is affine: 2 Re(phi* c) + g = 0
         if n2 == 0.0:
             raise Unbounded("slice constraint is identically negative (complex line inside)")
-        return np.ldexp((-g / (2.0 * n2)) * phi, e)
-    phit = Q.T @ phi
-    gaps, lam_s, phi2 = (lmax - lam).tolist(), lam.tolist(), (phit ** 2).tolist()
+        return (-g / (2.0 * n2)) * phi * s
+    phit = Q.conj().T @ phi
+    gaps, lam_s, phi2 = (lmax - lam).tolist(), lam.tolist(), (np.abs(phit) ** 2).tolist()
     lo = 1e-13 * lmax
     if _secular_eps(lo, gaps, lam_s, phi2, g) <= 0.0:
         # hard case: the regular components at eps = 0, phi_i / (lmax - lam_i),
         # then a step along the top eigenspace that closes q
         top = lam >= lmax * (1.0 - 1e-10)
-        xi_reg = Q @ np.where(top, 0.0, phit / np.where(top, 1.0, lmax - lam))
-        q_reg = float(xi_reg @ (H @ xi_reg) + 2.0 * phi @ xi_reg + g)
+        c_reg = Q @ np.where(top, 0.0, phit / np.where(top, 1.0, lmax - lam))
+        q_reg = float(np.vdot(c_reg, H @ c_reg).real + 2.0 * np.vdot(phi, c_reg).real + g)
         # deterministic unit vector in the top eigenspace: the projection of
         # the first e_m that has a component there
         Qtop = Q[:, top]
-        v = Qtop @ Qtop[int(np.argmax(np.linalg.norm(Qtop, axis=1) > 1e-3))]
-        xi = xi_reg + math.sqrt(max(-q_reg, 0.0) / lmax) * (v / np.linalg.norm(v))
-        return np.ldexp(xi, e)
+        v = Qtop @ Qtop[int(np.argmax(np.linalg.norm(Qtop, axis=1) > 1e-3))].conj()
+        return (c_reg + math.sqrt(max(-q_reg, 0.0) / lmax) * (v / np.linalg.norm(v))) * s
     hi = 4.0 * n2 / -g + math.sqrt(2.0 * n2 * lmax / -g)
     while math.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
@@ -124,7 +124,7 @@ def nearest_on_quadric(H: np.ndarray, phi: np.ndarray, g: float) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    return np.ldexp(Q @ (phit / (0.5 * (lo + hi) + (lmax - lam))), e)
+    return Q @ (phit / (0.5 * (lo + hi) + (lmax - lam))) * s
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +336,21 @@ def _stencil(axes: int) -> np.ndarray:
 def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     """Distance to the boundary within the slice z + span_C(V), by polar search.
 
-    Returns (tau, p).  Raises Unbounded when no grid ray exits within `cap`.
-    The best ray of the direction grid is refined by stencil rounds: every
-    candidate direction of a stencil around the current best one, the current
-    one included, marches and is searched in one batch; the search moves to
-    the candidate with the least exit, and the stencil shrinks per round (by
-    12 for the 33 offsets of a k = 1 slice, else by 3) down to STOP_ANGLE.
-    A round's window w = min(0.3, 16 delta^2) only places its finest radii: a
-    candidate that exits below it is still bracketed by the coarse radii, one
-    not out by its top cannot beat the incumbent, and the section search
-    still proves the winner.  The grid and each round stop their section search
-    once the winner is proven, so tau is carried between rounds as an upper
-    bound on the winner's exit; only the last round's winner is narrowed to
-    adjacent floats, within the bracket that round's march found.  The result
-    is an upper bound on the true distance; its accuracy is empirical and
-    callers treat it as the approximate path.
+    Returns (tau, u), the exit z + tau u along a unit u in span_C(V); raises
+    Unbounded when no grid ray exits within `cap`.  The best ray of the
+    direction grid is refined by stencil rounds: every candidate direction of
+    a stencil around the current best one, the current one included, marches
+    and is searched in one batch; the search moves to the candidate with the
+    least exit, and the stencil shrinks per round (by 12 for the 33 offsets of
+    a k = 1 slice, else by 3) down to STOP_ANGLE.  A round's window
+    w = min(0.3, 16 delta^2) only places its finest radii: a candidate that
+    exits below it is still bracketed by the coarse radii, one not out by its
+    top cannot beat the incumbent, and the section search still proves the
+    winner.  The grid and each round stop their section search once the
+    winner is proven, so tau is carried between rounds as an upper bound on
+    the winner's exit; only the last round's winner is narrowed to adjacent
+    floats, within the bracket that round's march found.  tau is an upper
+    bound on the true distance, of empirical accuracy: the approximate path.
     """
     n, k = V.shape
     dirs = sphere_grid(k)
@@ -372,7 +372,7 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     # candidate delta away gains O(delta^2) relative, hence w ~ 16 delta^2
     offsets = _stencil(2 * k - 1)
     shrink = 12.0 if k == 1 else 3.0
-    steps = max(MARCH_STEPS // 2, 24)
+    steps = MARCH_STEPS // 2
     coarse_ticks, fine_ticks = np.arange(float(steps)), np.arange(17.0)
     delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
     while delta >= STOP_ANGLE:
@@ -391,4 +391,4 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
             tau = float(taus[best])
             w_real = cand[best]
         delta /= shrink
-    return tau, z + tau * (join_complex(w_real) @ V.T)
+    return tau, (w_real[:k] + 1j * w_real[k:]) @ V.T

@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * vectors live in C^n as 1-d complex128 arrays;
 * the Hermitian inner product is ``<u, v> = sum_k u_k * conj(v_k)`` (antilinear
   in the second slot);
-* a complex quadratic constraint is lowered to a real one on (Re c, Im c)
-  stacked as a 2k-vector, see :func:`real_form`.
+* a slice z + V c is worked in its own complex coordinates c (a k-vector),
+  so a Hermitian k x k problem stays k x k.
 """
 
 from __future__ import annotations
@@ -48,29 +48,6 @@ def inverse_power(x: float, k: int) -> float:
 def phase(x: complex) -> complex:
     """x / |x|, and 1 at the origin."""
     return x / abs(x) if abs(x) > 0 else 1.0 + 0j
-
-
-def join_complex(x: np.ndarray) -> np.ndarray:
-    """R^{2k} -> C^k: (Re c, Im c) stacked -> c."""
-    k = x.shape[0] // 2
-    return x[:k] + 1j * x[k:]
-
-
-def real_form(H: np.ndarray, w: np.ndarray, g: float):
-    """Lower ``c* H c + Re(sum w_j c_j) + g`` to a real quadratic.
-
-    H must be Hermitian (k x k).  Returns (H_r, phi, g) with
-    ``q(xi) = xi^T H_r xi + 2 phi . xi + g`` for xi = (Re c, Im c).
-    """
-    k = H.shape[0]
-    Hr = np.empty((2 * k, 2 * k))
-    Hr[:k, :k] = H.real
-    Hr[k:, k:] = H.real
-    Hr[:k, k:] = -H.imag
-    Hr[k:, :k] = H.imag
-    # Re(w_j c_j) = Re w_j * Re c_j - Im w_j * Im c_j
-    phi = 0.5 * np.concatenate([w.real, -w.imag])
-    return Hr, phi, float(g)
 
 
 def orthonormal_columns(V: np.ndarray, tol: float = 1e-10) -> bool:

@@ -1,11 +1,11 @@
 """Iterated boundary distances within shrinking complex slices.
 
 Starting from an interior point z, repeat n times: find the nearest boundary
-point p^j within the current affine slice, record the distance tau_j and the
-unit direction d^j = (p^j - z)/tau_j, then restrict the slice to the orthogonal
-complement of d^j.  The distances are nondecreasing (each step minimizes over a
-smaller set) and their product is the basic length-scale invariant consumed by
-every certified bound downstream.
+point p^j = z + tau_j d^j within the current affine slice, record the distance
+tau_j and the unit direction d^j, which every kernel returns exactly, then
+restrict the slice to the orthogonal complement of d^j.  The distances are
+nondecreasing (each step minimizes over a smaller set) and their product is
+the basic length-scale invariant consumed by every certified bound downstream.
 
 Slice-distance kernels, keyed by ``Domain.variant`` in :data:`SLICE_KERNELS`
 (everything else a backend knows lives on its class in ``domains``):
@@ -22,10 +22,10 @@ l1ball          closed form (s - |z|_1)/sqrt(k) when V spans k coordinate
 oracle          polar first-exit search (approximate, flagged)
 ==============  ==============================================================
 
-The quadric projection bisects its secular equation, in one scale-free
-variable, until the bracket ends are adjacent floats.  The polar search
-follows the fixed policy of the ``geometry`` module constants; nothing here
-takes a search setting.
+The quadric projection works in the slice's complex coordinates and bisects
+its secular equation, in one scale-free variable, to adjacent floats.  The
+polar search follows the fixed policy of the ``geometry`` module constants;
+nothing here takes a search setting.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ from .geometry import nearest_on_quadric, polar_first_exit
 from .linalg import (
     as_cvector,
     complement_within,
-    join_complex,
     orthonormal_columns,
     phase,
-    real_form,
     safe_norm,
 )
 
@@ -81,10 +79,10 @@ class SliceDistance:
     tau: float
     p: np.ndarray
     method: str            # "halfspace" | "quadric" | "support" | "aligned" | "ellipse" | "polar"
+    #: p - z up to a positive factor, exact: near the boundary the difference
+    #: p - z itself keeps only eps|z|/tau of it
+    direction: np.ndarray
     constraint_index: int | None = None
-    #: p - z up to a positive factor, where the kernel knows it exactly; near
-    #: the boundary the difference p - z keeps only eps|z|/tau of it
-    direction: np.ndarray | None = None
 
 
 def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
@@ -102,14 +100,15 @@ def _halfspace_slice(domain: HalfspaceConvex, z, V) -> SliceDistance:
     # nearest point: z + beta * P a_i / |P a_i|^2, in direction P a_i
     Pa = V @ (V.conj().T @ domain.normals[i])
     p = z + beta[i] * Pa / (pn[i] ** 2)
-    return SliceDistance(tau, p, "halfspace", constraint_index=i, direction=Pa)
+    return SliceDistance(tau, p, "halfspace", Pa, constraint_index=i)
 
 
-def _quadric_slice(z, V, H, w_lin, g) -> SliceDistance:
-    """Nearest boundary point of a slice z + V c whose boundary is the
-    quadric c* H c + Re(sum_j w_lin_j c_j) + g = 0 (g < 0 at c = 0)."""
-    xi = nearest_on_quadric(*real_form(H, w_lin, g))
-    return SliceDistance(float(np.linalg.norm(xi)), z + V @ join_complex(xi), "quadric")
+def _quadric_slice(z, V, H, phi, g) -> SliceDistance:
+    """Nearest boundary point z + V c of a slice whose boundary is the
+    quadric c* H c + 2 Re(phi* c) + g = 0 (g < 0 at c = 0)."""
+    c = nearest_on_quadric(H, phi, g)
+    d = V @ c
+    return SliceDistance(float(np.linalg.norm(c)), z + d, "quadric", d)
 
 
 def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
@@ -118,14 +117,14 @@ def _ball_image_slice(domain: AffineBallImage, z, V) -> SliceDistance:
     g = float(np.sum(np.abs(w0) ** 2)) - 1.0
     if g >= 0:
         raise PointOutsideDomain("point outside the ball image")
-    return _quadric_slice(z, V, B.conj().T @ B, 2.0 * (B.T @ np.conj(w0)), g)
+    return _quadric_slice(z, V, B.conj().T @ B, B.conj().T @ w0, g)
 
 
 def _siegel_slice(domain: SiegelHalfSpace, z, V) -> SliceDistance:
     g = -float(domain.defect(z[None, :])[0])  # negative inside
     B = V[:-1, :]
-    w_lin = 2.0 * (B.T @ np.conj(z[:-1])) + 1j * V[-1, :]
-    return _quadric_slice(z, V, B.conj().T @ B, w_lin, g)
+    phi = B.conj().T @ z[:-1] - 0.5j * np.conj(V[-1, :])
+    return _quadric_slice(z, V, B.conj().T @ B, phi, g)
 
 
 def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
@@ -140,7 +139,7 @@ def _polydisc_slice(domain: Polydisc, z, V) -> SliceDistance:
     j = int(np.argmin(ratios))
     tau = float(ratios[j])
     d = V @ np.conj(V[j]) * phase(rel[j])
-    return SliceDistance(tau, z + (tau / rows[j]) * d, "support", direction=d)
+    return SliceDistance(tau, z + (tau / rows[j]) * d, "support", d)
 
 
 def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
@@ -161,7 +160,7 @@ def _l1_slice(domain: L1Ball, z, V) -> SliceDistance:
     slack = domain.scale - float(np.sum(np.abs(z)))  # positive inside
     k = int(axes.sum())
     d = np.where(axes, [phase(c) for c in z], 0.0)
-    return SliceDistance(slack / math.sqrt(k), z + (slack / k) * d, "aligned", direction=d)
+    return SliceDistance(slack / math.sqrt(k), z + (slack / k) * d, "aligned", d)
 
 
 def _l1_ellipse_slice(s: float, z, u, omega: complex) -> SliceDistance:
@@ -192,15 +191,16 @@ def _l1_ellipse_slice(s: float, z, u, omega: complex) -> SliceDistance:
     else:
         eta = complex(0.5 * s * (delta - math.copysign(1.0, delta)), 0.0)
         tau = math.fsum((s, -max(a, b), min(a, b))) / math.sqrt(2.0)
-    return SliceDistance(tau, z + (eta / omega) * u, "ellipse")
+    d = (eta / omega) * u
+    return SliceDistance(tau, z + d, "ellipse", d)
 
 
 def _polar_slice(domain: Domain, z, V) -> SliceDistance:
     cap = domain.circumscribed_radius(z)
     if not math.isfinite(cap):
         cap = SEARCH_RADIUS
-    tau, p = polar_first_exit(domain.contains_many, z, V, cap)
-    return SliceDistance(tau, p, "polar")
+    tau, u = polar_first_exit(domain.contains_many, z, V, cap)
+    return SliceDistance(tau, z + tau * u, "polar", u)
 
 
 #: Domain.variant -> kernel(domain, z, V); the caller has already checked
@@ -245,13 +245,12 @@ def _checked_kernel(domain: Domain, z):
 class MinimalBasis:
     """Result of the full n-step construction at a base point."""
 
-    domain: Domain
     base_point: np.ndarray
     taus: np.ndarray                 # (n,) nondecreasing distances
     boundary_points: np.ndarray      # (n, n) rows p^j
     directions: np.ndarray           # (n, n) rows d^j, orthonormal
-    methods: list = None
-    constraint_indices: list = None
+    methods: list
+    constraint_indices: list
 
     @property
     def n(self) -> int:
@@ -259,7 +258,7 @@ class MinimalBasis:
 
     @property
     def approximate(self) -> bool:
-        return "polar" in (self.methods or [])
+        return "polar" in self.methods
 
     @property
     def tau_rel_err(self) -> float:
@@ -293,9 +292,8 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
         if j == 0 and r.tau < TAU_MIN * safe_norm(z):
             raise PointTooCloseToBoundary(
                 f"first boundary distance {r.tau:.3e} below {TAU_MIN:g} |z|")
-        d = r.p - z if r.direction is None else r.direction
         # kill out-of-slice roundoff before normalizing
-        d = V @ (V.conj().T @ d)
+        d = V @ (V.conj().T @ r.direction)
         nd = safe_norm(d)
         if nd == 0:
             raise SingularBasis("degenerate boundary direction")
@@ -307,7 +305,7 @@ def minimal_basis(domain: Domain, z) -> MinimalBasis:
         cons.append(r.constraint_index)
         if j + 1 < n:
             V = complement_within(V, d)
-    basis = MinimalBasis(domain, z, taus, points, dirs, methods, cons)
+    basis = MinimalBasis(z, taus, points, dirs, methods, cons)
     # ordering: each step minimizes over a subset of the previous boundary slice
     tol = max(1e-8, 2.0 * basis.tau_rel_err) * taus[-1]
     for j in range(n - 1):

@@ -50,9 +50,8 @@ def c_n(n: int) -> float:
 
 
 def build_T(basis: MinimalBasis) -> np.ndarray:
-    """Rows conj(d^j)/tau_j, so T (p^j - z) = e_j.  Taken from the directions,
-    not from p^j - z: near the boundary that difference keeps only eps|z|/tau_j
-    of its phase, which a far point x of D multiplies by |x - z|/tau_j."""
+    """Rows conj(d^j)/tau_j, so T (p^j - z) = e_j, from the exact direction
+    that every slice kernel returns with p^j."""
     taus = basis.taus
     if np.any(taus <= 0):
         raise SingularBasis("nonpositive slice distance")

@@ -59,6 +59,24 @@ def secular_numpy(eps, gaps, lam, phi2, g):
     return math.inf if not np.isfinite(s) else s + g
 
 
+def real_form(H: np.ndarray, w: np.ndarray, g: float):
+    """Lower ``c* H c + Re(sum w_j c_j) + g`` to a real quadratic, the reference
+    for ``geometry.nearest_on_quadric`` on complex input.
+
+    H must be Hermitian (k x k).  Returns (H_r, phi, g) with
+    ``q(xi) = xi^T H_r xi + 2 phi . xi + g`` for xi = (Re c, Im c).
+    """
+    k = H.shape[0]
+    Hr = np.empty((2 * k, 2 * k))
+    Hr[:k, :k] = H.real
+    Hr[k:, k:] = H.real
+    Hr[:k, k:] = -H.imag
+    Hr[k:, :k] = H.imag
+    # Re(w_j c_j) = Re w_j * Re c_j - Im w_j * Im c_j
+    phi = 0.5 * np.concatenate([w.real, -w.imag])
+    return Hr, phi, float(g)
+
+
 def stiemke_bounded(dom: HalfspaceConvex) -> bool:
     """Reference boundedness test for a halfspace domain: by Stiemke's theorem
     {x : A x <= 0} = {0} exactly when A has full column rank and

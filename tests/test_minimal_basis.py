@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import random_unitary, secular_numpy
+from helpers import random_unitary, real_form, secular_numpy
 
 from holovol.domains import (
     AffineBallImage,
@@ -286,21 +286,98 @@ def test_quadric_taus_scale_with_the_ball_image():
         assert taus(s) == pytest.approx(unit, rel=1e-13), s
 
 
+def _ldexp(a, m):
+    """a 2^m exactly, for real or complex a."""
+    return np.ldexp(a.real, m) + 1j * np.ldexp(a.imag, m) if np.iscomplexobj(a) else np.ldexp(a, m)
+
+
 def test_quadric_projection_is_exactly_scale_equivariant():
     # xi -> 2^m xi maps (H, phi) to (4^-m H, 2^-m phi); the solver rescales
-    # by powers of two, so the solution follows bit for bit
+    # by powers of two, so the solution follows bit for bit, real or complex
     rng = np.random.default_rng(23)
-    for _ in range(40):
-        H, phi, g = _random_quadric(rng, int(rng.integers(2, 7)))
+    cases = [_random_quadric(rng, int(rng.integers(2, 7))) for _ in range(40)]
+    cases += [_random_complex_quadric(rng, int(rng.integers(1, 4))) for _ in range(40)]
+    for H, phi, g in cases:
         try:
             xi = geometry.nearest_on_quadric(H, phi, g)
         except Unbounded:
             continue
         for m in (-400, -31, 1, 200):
-            got = geometry.nearest_on_quadric(np.ldexp(H, -2 * m), np.ldexp(phi, -m), g)
-            assert np.array_equal(got, np.ldexp(xi, m)), m
+            got = geometry.nearest_on_quadric(_ldexp(H, -2 * m), _ldexp(phi, -m), g)
+            assert np.array_equal(got, _ldexp(xi, m)), m
+    # a subnormal H, exact because its entries are small Gaussian integers:
+    # the solver scales it by 2^1058, which overflows if formed in one piece
+    B = rng.integers(-8, 9, (3, 2)) + 1j * rng.integers(-8, 9, (3, 2))
+    H, phi = B @ B.conj().T, rng.normal(size=3) + 1j * rng.normal(size=3)
+    m = 532
+    assert 0.0 < np.abs(_ldexp(H, -2 * m)).max() < np.finfo(float).tiny
+    got = geometry.nearest_on_quadric(_ldexp(H, -2 * m), _ldexp(phi, -m), -0.5)
+    assert np.array_equal(got, _ldexp(geometry.nearest_on_quadric(H, phi, -0.5), m))
     with pytest.raises(Unbounded):
         geometry.nearest_on_quadric(np.zeros((2, 2)), np.zeros(2), -1.0)
+
+
+def _random_complex_quadric(rng, k, hard=False):
+    """(H, phi, g): H complex Hermitian PSD of random rank, g < 0.  With hard,
+    the top eigenvalue is repeated and phi has no component along it."""
+    Q = random_unitary(k, rng)
+    lam = np.sort(rng.random(k)) * rng.choice([1e-3, 1.0, 1e3])
+    lam[:rng.integers(0, k)] = 0.0  # rank deficient
+    phit = rng.normal(size=k) + 1j * rng.normal(size=k)
+    if hard:
+        top = int(rng.integers(1, k))  # 1 to k - 1 top eigenvalues
+        lam[k - top:] = lam[-1] if lam[-1] > 0.0 else 1.0
+        lam[:k - top] *= 0.5
+        phit[k - top:] = 0.0
+        phit *= 0.05 * math.sqrt(lam[-1])  # mostly too small to reach q = 0 off the top
+    H = (Q * lam) @ Q.conj().T
+    return 0.5 * (H + H.conj().T), Q @ phit, -rng.random() - 1e-3
+
+
+def _q(H, phi, g, c):
+    return float(np.vdot(c, H @ c).real + 2.0 * np.vdot(phi, c).real + g)
+
+
+def test_complex_quadric_solve_agrees_with_its_real_lowering():
+    # the k x k complex solve against the 2k x 2k solve of its real lowering:
+    # 2 Re(phi* c) = Re(sum_j w_j c_j) for w = 2 conj(phi)
+    rng = np.random.default_rng(27)
+    for hard in (False, True):
+        stepped = 0
+        for _ in range(200):
+            H, phi, g = _random_complex_quadric(rng, int(rng.integers(2 if hard else 1, 5)), hard)
+            c = geometry.nearest_on_quadric(H, phi, g)
+            xi = geometry.nearest_on_quadric(*real_form(H, 2.0 * np.conj(phi), g))
+            ref = xi[:H.shape[0]] + 1j * xi[H.shape[0]:]
+            if hard:
+                # ties in the top eigenspace: the least norm and q(c) = 0
+                assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(ref), rel=1e-13)
+                assert _q(H, phi, g, c) == pytest.approx(0.0, abs=1e-12)
+                lam, Q = np.linalg.eigh(H)
+                top = Q[:, lam >= lam[-1] * (1.0 - 1e-10)]
+                stepped += np.linalg.norm(top.conj().T @ c) > 1e-12 * np.linalg.norm(c)
+            else:
+                assert np.linalg.norm(c - ref) <= 1e-13 * np.linalg.norm(ref)
+        if hard:
+            assert stepped >= 150  # the hard branch: c leaves along the top space
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quadric_directions_are_exact_near_the_boundary(n):
+    # on the ball image M = s U the nearest boundary point of
+    # z = c + s U ((1 - gap) w), |w| = 1, lies along U w.  p - z keeps only
+    # eps|z|/tau of that direction, so d^1 must come from the kernel itself
+    rng = np.random.default_rng(27 + n)
+    for _ in range(10):
+        U, s = random_unitary(n, rng), rng.uniform(1.0, 3.0)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        ball = AffineBallImage(n, matrix=s * U, center=c)
+        w = uniform_ball(n, 1, rng)[0]
+        w /= np.linalg.norm(w)
+        for gap in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+            basis = minimal_basis(ball, c + s * (U @ ((1.0 - gap) * w)))
+            assert basis.methods[0] == "quadric"
+            assert np.linalg.norm(basis.directions[0] - U @ w) <= 1e-13, gap
 
 
 def test_square_halfspace_distances():
@@ -519,8 +596,10 @@ def _polar_cases():
 def test_polar_tau_is_the_first_exit_along_its_direction(contains_many, z, V, cap):
     # tau is narrowed in place, inside the last round's bracket: marching the
     # returned direction afresh from 0 finds the same exit
-    tau, p = geometry.polar_first_exit(contains_many, z, V, cap)
-    again = geometry.ray_exit(contains_many, z, (p - z) / tau, 1.5 * tau)
+    tau, u = geometry.polar_first_exit(contains_many, z, V, cap)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(V @ (V.conj().T @ u), u, rtol=0.0, atol=1e-15)  # u lies in the slice
+    again = geometry.ray_exit(contains_many, z, u, 1.5 * tau)
     assert abs(tau - again) <= 1e-14 * again
 
 
