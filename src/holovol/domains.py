@@ -771,7 +771,10 @@ def sample_interior(domain: Domain, count: int, rng: np.random.Generator,
 def _symmetrized_bidisc_pred(pts: np.ndarray) -> np.ndarray:
     """|s - conj(s) p| < 1 - |p|^2 characterizes pairs (s, p) = (z+w, zw), z,w in the disc."""
     s, p = pts[:, 0], pts[:, 1]
-    return np.abs(s - np.conj(s) * p) < 1.0 - np.abs(p) ** 2
+    t = np.conj(s)  # np.abs(s - conj(s) p) < 1 - |p|^2: the same operations, in place
+    t *= p
+    q = np.square(np.abs(p))
+    return np.abs(np.subtract(s, t, out=t)) < np.subtract(1.0, q, out=q)
 
 
 ORACLE_PREDICATES: dict[str, dict] = {

@@ -18,17 +18,14 @@ point to the domain boundary within an affine complex slice:
   along a deterministic direction grid on the slice sphere, bracket the first
   membership flip and narrow it by section search, then refine the best
   direction by shrinking stencil rounds (a batched pattern search, Hooke &
-  Jeeves 1961).  The rays of a grid or stencil march together up to the first
-  block of radii where one exits; each later membership call cuts every live
-  bracket 16-fold, and rows that cannot hold the minimum drop out.  A grid or
-  stencil round stops once a single row is left, the proven winner; only the
-  last round's winner is narrowed to adjacent floats.  A round of half-width
-  delta marches finely only within tau (1 +- 16 delta^2), all that a
-  candidate delta away can still gain near the minimiser.  Each batch of
-  points z + r*a is built coordinate-major and handed over as its transposed
-  (rows, n) view, one membership call per CHUNK rows.  It only needs a
-  membership predicate, so it doubles as the independent cross-check for
-  every closed form.
+  Jeeves 1961).  The grid marches from near 0; a round of half-width delta
+  marches only its window tau (1 +- 16 delta^2), all that a candidate delta
+  away can still gain near the minimiser.  Each later membership call cuts
+  every live bracket 16-fold, rows that cannot hold the minimum drop out, and
+  the grid and each round stop at their proven winner; only the last round's
+  winner is narrowed to adjacent floats.  Batches z + r*a are built
+  coordinate-major, one membership call per CHUNK rows.  Needing only a
+  membership predicate, it doubles as the cross-check for every closed form.
 
 The search policy is fixed by the module constants below; no function takes
 a setting, and neither 1-D search has an iteration count.
@@ -171,12 +168,9 @@ def sphere_grid(k: int) -> np.ndarray:
 
 
 def _first_flip(inside_rows: np.ndarray, radii: np.ndarray):
-    """Per-row bracket of the first sampled outside radius; (lo, hi, exited).
-
-    lo is the radius sampled before hi (0 before the first), so the radii
-    need not be evenly spaced.
-    """
-    first = np.argmin(inside_rows, axis=1)  # the first outside sample, else 0
+    """Per-row bracket (lo, hi, exited) of the first sampled outside radius;
+    lo is the radius sampled before hi, 0 before the first, at any spacing."""
+    first = inside_rows.argmin(axis=1)  # the first outside sample, else 0
     later = first > 0
     return np.where(later, radii[first - 1], 0.0), radii[first], later | ~inside_rows[:, 0]
 
@@ -241,10 +235,11 @@ def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
     m, n = A.shape
     taus = np.full(m, np.inf)
     idx = np.arange(m)  # rows still searched; lo, hi and A hold only these
-    least = hi.min()
+    least, finished = hi.min(), False
     frac = np.arange(_SPLIT + 1) / _SPLIT
+    base = np.arange(0, m * (_SPLIT + 1), _SPLIT + 1)  # row starts in the flat table
+    pad = np.zeros((m, _SPLIT), dtype=bool)  # inside samples, then one False column
     step = max(1, CHUNK // ((_SPLIT - 1) * n)) * (_SPLIT - 1)  # points per membership call
-    finished = False
     while True:
         done = np.nextafter(lo, hi) == hi
         keep = ~done & (lo <= least)
@@ -257,26 +252,26 @@ def _section_search(contains_many, z, A, lo, hi, argmin_only=False):
         if argmin_only and idx.size == 1 and not finished:
             taus[idx] = hi
             return taus
-        r = lo[:, None] + (hi - lo)[:, None] * frac
+        r = np.multiply.outer(hi - lo, frac) + lo[:, None]
         r[:, -1] = hi
         pts = _ray_points(z, A, r[:, 1:-1])
-        inside = (contains_many(pts) if pts.shape[0] <= step else
-                  np.concatenate([contains_many(pts[s:s + step])
-                                  for s in range(0, pts.shape[0], step)]))
-        # leading inside samples count the sections below the first outside one
-        first = np.logical_and.accumulate(inside.reshape(-1, _SPLIT - 1), axis=1).sum(axis=1)
-        k = np.arange(idx.size)
-        lo, hi = r[k, first], r[k, first + 1]
+        pad[:idx.size, :-1] = (contains_many(pts) if pts.shape[0] <= step else
+                               np.concatenate([contains_many(pts[s:s + step])
+                                               for s in range(0, pts.shape[0], step)])
+                               ).reshape(-1, _SPLIT - 1)
+        # the first False counts the sections below the first outside sample
+        first = base[:idx.size] + pad[:idx.size].argmin(axis=1)
+        lo, hi = r.take(first), r.take(first + 1)
         least = min(least, hi.min())
 
 
-def _tangent_frame(w_real: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space of the sphere at w_real (unit)."""
+def _tangent_frame(w_real: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the tangent space of the sphere at w_real (unit);
+    eye is np.eye(d)[:, 1:], shared by the rounds of a search."""
     # columns 2..d of the Householder matrix mapping e_1 -> w_real
     u = w_real.copy()
     u[0] -= math.copysign(1.0, w_real[0] if w_real[0] != 0 else 1.0)
     nu = math.sqrt(u.dot(u))
-    eye = np.eye(u.shape[0])[:, 1:]
     return eye if nu < 1e-14 else eye - 2.0 * np.multiply.outer(u / nu, u[1:] / nu)
 
 
@@ -301,7 +296,7 @@ def _batch_exits(contains_many, z, A, radii, argmin_only=False) -> np.ndarray:
     lo, hi, exited = _first_flip(inside, radii)
     taus = np.full(A.shape[0], np.inf)
     if exited.any():
-        live = exited & (lo < hi[exited].min())
+        live = exited & (lo < hi.min(where=exited, initial=np.inf))
         taus[live] = _section_search(contains_many, z, A[live], lo[live], hi[live],
                                      argmin_only)
     return taus
@@ -314,6 +309,7 @@ def ray_exit(contains_many, z: np.ndarray, a: np.ndarray, reach: float) -> float
     return float(_batch_exits(contains_many, z, a[None, :], radii)[0])
 
 
+@functools.cache
 def _stencil(axes: int) -> np.ndarray:
     """Offsets in [-1, 1]^axes around a direction, at most MAX_GRID rows.
 
@@ -321,6 +317,7 @@ def _stencil(axes: int) -> np.ndarray:
     else of 3; when even 3^axes exceeds MAX_GRID, the zero offset and the
     2*axes points +-e_i (a compass stencil).  Row 0 is always the zero offset,
     so the current direction competes in every round and wins exact ties.
+    Each stencil is built on first use and returned read-only.
     """
     for m in ((33,) if axes == 1 else (5, 3)):
         if m ** axes <= MAX_GRID:
@@ -328,9 +325,12 @@ def _stencil(axes: int) -> np.ndarray:
             mesh = np.meshgrid(*[ticks] * axes, indexing="ij")
             grid = np.stack([g.reshape(-1) for g in mesh], axis=1)
             centre = grid.shape[0] // 2  # the all-zero row of an odd grid
-            return np.vstack([grid[centre], grid[:centre], grid[centre + 1:]])
-    eye = np.eye(axes)
-    return np.vstack([np.zeros(axes), eye, -eye])
+            offsets = np.vstack([grid[centre], grid[:centre], grid[centre + 1:]])
+            break
+    else:
+        offsets = np.vstack([np.zeros(axes), np.eye(axes), -np.eye(axes)])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
@@ -342,15 +342,17 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     a stencil around the current best one, the current one included, marches
     and is searched in one batch; the search moves to the candidate with the
     least exit, and the stencil shrinks per round (by 12 for the 33 offsets of
-    a k = 1 slice, else by 3) down to STOP_ANGLE.  A round's window
-    w = min(0.3, 16 delta^2) only places its finest radii: a candidate that
-    exits below it is still bracketed by the coarse radii, one not out by its
-    top cannot beat the incumbent, and the section search still proves the
-    winner.  The grid and each round stop their section search once the
-    winner is proven, so tau is carried between rounds as an upper bound on
-    the winner's exit; only the last round's winner is narrowed to adjacent
-    floats, within the bracket that round's march found.  tau is an upper
-    bound on the true distance, of empirical accuracy: the approximate path.
+    a k = 1 slice, else by 3) down to STOP_ANGLE.  A round marches only the 17
+    radii of its window tau (1 +- w), w = min(0.3, 16 delta^2): the incumbent
+    exits by tau, so a candidate still inside at the top cannot win, and one
+    outside at the bottom is bracketed on (0, tau (1 - w)].  Only the grid
+    samples near 0: a stencil ray that leaves the domain and comes back below
+    the window is bracketed at a later exit.  The grid and each round stop
+    their section search once the winner is proven, so tau is carried between
+    rounds as an upper bound on the winner's exit; only the last round's
+    winner is narrowed to adjacent floats, within the bracket that round's
+    march found.  tau is an upper bound on the true distance, of empirical
+    accuracy: the approximate path.
     """
     n, k = V.shape
     dirs = sphere_grid(k)
@@ -364,24 +366,17 @@ def polar_first_exit(contains_many, z: np.ndarray, V: np.ndarray, cap: float):
     tau = float(taus[best])
     w_real = np.concatenate([dirs[best].real, dirs[best].imag])
 
-    # stencil rounds around the best direction; each march starts near 0,
-    # since no bracket is assumed for the exit along a nearby ray.  Below
-    # tau (1 - w) the radii are those of a uniform march to 1.3 tau; 17 radii
-    # then cover the window tau (1 +- w) around the incumbent, whose ray
-    # (offset 0) exits by tau, so nothing beyond the window is marched.  A
-    # candidate delta away gains O(delta^2) relative, hence w ~ 16 delta^2
+    # stencil rounds around the best direction, each marching only its window;
+    # a candidate delta away gains O(delta^2) relative, hence w ~ 16 delta^2
     offsets = _stencil(2 * k - 1)
     shrink = 12.0 if k == 1 else 3.0
-    steps = MARCH_STEPS // 2
-    coarse_ticks, fine_ticks = np.arange(float(steps)), np.arange(17.0)
+    ticks, eye = np.arange(17.0), np.eye(2 * k)[:, 1:]
     delta = {1: 2.0 * np.pi / GRID_PER_DIM, 2: 0.25, 3: 0.35}.get(k, 0.45)
     while delta >= STOP_ANGLE:
-        cand = w_real + (delta * offsets) @ _tangent_frame(w_real).T
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cand = w_real + (delta * offsets) @ _tangent_frame(w_real, eye).T
+        cand /= np.sqrt(np.add.reduce(cand * cand, axis=1))[:, None]  # np.linalg.norm's sum
         w = min(0.3, 16.0 * delta * delta)
-        coarse = _linspace(1.3 * tau / steps, 1.3 * tau, coarse_ticks)
-        radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
-                                _linspace(tau * (1.0 - w), tau * (1.0 + w), fine_ticks)])
+        radii = _linspace(tau * (1.0 - w), tau * (1.0 + w), ticks)
         # the last round, whose successor would fall below STOP_ANGLE,
         # narrows its winner to adjacent floats instead of stopping at the proof
         taus = _batch_exits(contains_many, z, (cand[:, :k] + 1j * cand[:, k:]) @ V.T,

@@ -284,6 +284,8 @@ def evaluate_point(domain: Domain, z: np.ndarray, checks, tol, seed: int) -> dic
     results = {}
 
     def record(name, margin, *, mode=None, **extra):
+        if margin == math.inf:  # read off ends saturated to +inf, it could not fail
+            raise UnsupportedDomain("saturated")
         entry = {"margin": float(margin), "pass": bool(margin >= -check_tol)}
         if mode:
             entry["mode"] = mode

@@ -77,6 +77,12 @@ def real_form(H: np.ndarray, w: np.ndarray, g: float):
     return Hr, phi, float(g)
 
 
+def bidisc_membership(pts: np.ndarray) -> np.ndarray:
+    """The symmetrized bidisc's textbook predicate |s - conj(s) p| < 1 - |p|^2."""
+    s, p = pts[:, 0], pts[:, 1]
+    return np.abs(s - np.conj(s) * p) < 1.0 - np.abs(p) ** 2
+
+
 def stiemke_bounded(dom: HalfspaceConvex) -> bool:
     """Reference boundedness test for a halfspace domain: by Stiemke's theorem
     {x : A x <= 0} = {0} exactly when A has full column rank and

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
-from helpers import chebyshev_radius, random_unitary, stiemke_bounded, validate_oracle
+from helpers import (bidisc_membership, chebyshev_radius, random_unitary, stiemke_bounded,
+                     validate_oracle)
 from test_acceptance import random_simplex_containing_zero
 from test_harness import STRIP
 from test_normalization import random_bounded_halfspace
@@ -107,6 +108,31 @@ def test_bidisc_is_inside_enclosing_polydisc():
     rng = np.random.default_rng(3)
     pts = sample_interior(G, 500, rng)
     assert np.all(np.abs(pts - c[None, :]) < r[None, :] + 1e-12)
+
+
+def test_bidisc_predicate_is_the_textbook_formula_bit_for_bit():
+    # the in-place predicate must answer as np.abs(s - conj(s) p) < 1 - |p|^2
+    # does, on the whole enclosing polydisc and within 1e-12 of the boundary,
+    # whether rows come C-ordered or as the search's coordinate-major view
+    pred = symmetrized_bidisc().predicate
+    rng = np.random.default_rng(28)
+    count = 100_000
+
+    def disc(radius, size):
+        phase = np.exp(2j * np.pi * rng.uniform(0, 1, size))
+        return radius * np.sqrt(rng.uniform(0, 1, size)) * phase
+
+    bulk = np.stack([disc(2.0, count), disc(1.0, count)], axis=1)
+    # (z + w, z w) with |z| = 1 lies on the boundary; nudge it by 1e-16 to 1e-12,
+    # where a change in the order of operations flips thousands of answers
+    z, w = np.exp(2j * np.pi * rng.uniform(0, 1, count)), disc(1.0, count)
+    nudge = 10.0 ** rng.uniform(-16, -12, (count, 1))
+    near = np.stack([z + w, z * w], axis=1) + nudge * (rng.uniform(-1, 1, (count, 2))
+                                                       + 1j * rng.uniform(-1, 1, (count, 2)))
+    for pts in (bulk, near, np.ascontiguousarray(near.T).T):
+        expected = bidisc_membership(pts)
+        assert np.array_equal(pred(pts), expected)
+    assert 0 < expected.sum() < count  # the boundary rows fall on both sides
 
 
 # ---------------------------------------------------------------------------

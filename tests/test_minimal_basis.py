@@ -567,12 +567,13 @@ def test_bidisc_predicate_call_budget():
     # follows delta^2, and only the last round's winner is narrowed to
     # adjacent floats: 85 calls here, against 111 with a second march and
     # search along the winning direction, 192 with a window of 4 delta and
-    # 412 when every round ran to adjacent floats.  The calls hold 152,513
-    # rows; a change to how batches are built must not add rows
+    # 412 when every round ran to adjacent floats.  The calls hold 107,188
+    # rows, against 152,558 when every stencil march started near 0; a
+    # change to how batches are built must not add rows
     G, calls = _counted_bidisc()
     minimal_basis(G, np.array([0.3 - 0.2j, 0.1 + 0.15j]))
     assert len(calls) <= 95
-    assert sum(calls) <= 155_000
+    assert sum(calls) <= 110_000
 
 
 def _polar_cases():
@@ -611,8 +612,9 @@ def test_minimal_basis_tests_membership_once():
 
 
 def test_a_winner_below_the_window_is_still_found():
-    # the window only places the fine radii: a candidate exiting at 0.8 tau,
-    # far below tau (1 - w), is bracketed by the coarse radii and must win
+    # a round marches only its window: a candidate exiting at 0.8 tau, far
+    # below tau (1 - w), is already outside at the window's first radius, is
+    # bracketed on (0, tau (1 - w)] and must win
     Minv = np.diag([1.0, 1.25])  # semi-axes 1 (e_1, the incumbent) and 0.8 (e_2)
     z = np.zeros(2, dtype=np.complex128)
 
@@ -622,16 +624,44 @@ def test_a_winner_below_the_window_is_still_found():
     t = np.array([0.0, 0.1, 0.3, 0.6, np.pi / 2])
     A = np.stack([np.cos(t), np.sin(t)], axis=1).astype(np.complex128)
     exact = _ellipsoid_exits(Minv, z, A)
-    tau, w, steps = 1.0, 1e-10, 32
-    coarse = np.linspace(1.3 * tau / steps, 1.3 * tau, steps)
-    radii = np.concatenate([coarse[coarse < tau * (1.0 - w)],
-                            np.linspace(tau * (1.0 - w), tau * (1.0 + w), 17)])
+    tau, w = 1.0, 1e-10
+    radii = geometry._linspace(tau * (1.0 - w), tau * (1.0 + w), np.arange(17.0))
     taus = geometry._batch_exits(contains_many, z, A, radii, argmin_only=True)
-    _, hi, _ = geometry._first_flip(geometry._march_brackets(contains_many, z, A, radii),
-                                    radii)
+    lo, hi, exited = geometry._first_flip(
+        geometry._march_brackets(contains_many, z, A, radii), radii)
+    assert exited[4] and lo[4] == 0.0 and hi[4] == radii[0]
     assert int(np.argmin(taus)) == 4 and exact[4] == pytest.approx(0.8 * tau, rel=1e-15)
     assert exact[4] * (1.0 - 1e-13) <= taus[4] <= hi[4]
     assert np.isinf(taus[:4]).all()
+
+
+@pytest.mark.parametrize("V", [np.eye(2, dtype=np.complex128), np.array([[0.6 + 0j], [0.8j]])])
+def test_stencil_rounds_march_only_their_window(V, monkeypatch):
+    # after the grid's march from near 0, every round marches exactly the 17
+    # radii of tau (1 +- w), w = min(0.3, 16 delta^2), around the tau it inherits
+    marches = []
+    batch = geometry._batch_exits
+
+    def spy(contains_many, z, A, radii, argmin_only=False):
+        taus = batch(contains_many, z, A, radii, argmin_only)
+        marches.append((radii.copy(), taus.min()))
+        return taus
+
+    monkeypatch.setattr(geometry, "_batch_exits", spy)
+    G = symmetrized_bidisc()
+    z = np.array([0.3 - 0.2j, 0.1 + 0.15j])
+    final, _ = geometry.polar_first_exit(G.contains_many, z, V, G.circumscribed_radius(z))
+    (grid, tau), rounds = marches[0], marches[1:]
+    assert grid.size == geometry.MARCH_STEPS and len(rounds) > 5
+    k = V.shape[1]
+    delta, shrink = (2.0 * np.pi / geometry.GRID_PER_DIM, 12.0) if k == 1 else (0.25, 3.0)
+    for radii, least in rounds:
+        w = min(0.3, 16.0 * delta * delta)
+        assert radii.size == 17 and np.all(np.diff(radii) > 0.0)
+        assert radii[0] == tau * (1.0 - w) and radii[-1] == tau * (1.0 + w)
+        tau = least if math.isfinite(least) else tau
+        delta /= shrink
+    assert delta < geometry.STOP_ANGLE and tau == final
 
 
 def test_section_search_finds_first_of_two_flips():
@@ -761,6 +791,13 @@ def test_sphere_grid_is_built_once_and_read_only():
         grid = geometry.sphere_grid(k)
         assert geometry.sphere_grid(k) is grid
         assert not grid.flags.writeable
+
+
+def test_stencil_is_built_once_and_read_only():
+    for axes in (1, 3, 9):  # the 33-offset line, the 5^3 grid and the compass
+        offsets = geometry._stencil(axes)
+        assert geometry._stencil(axes) is offsets
+        assert not offsets.flags.writeable
 
 
 def test_one_dimensional_grid_is_the_phase_circle_alone():
@@ -953,9 +990,14 @@ def test_tiny_ball_image_saturates_its_negative_powers():
     assert report["summary"]["errors"] == 0 and report["summary"]["failures"] == 0
     point = report["points"][0]
     assert point["oracle_v"] == math.inf and point["intervals"]["monotonicity"][1] == math.inf
-    # monotonicity needs a finite v, so it is skipped; every other check passes
-    assert point["checks"].pop("monotonicity")["pass"] is None
-    assert all(entry["pass"] for entry in point["checks"].values())
+    # monotonicity needs a finite v; theorem_ge and corollary_v would read a
+    # margin of +inf off the saturated upper ends, which cannot fail: all three
+    # are skipped, and every other check passes
+    checks = point["checks"]
+    assert checks.pop("monotonicity")["pass"] is None
+    for name in ("theorem_ge", "corollary_v"):
+        assert checks.pop(name) == {"margin": None, "pass": None, "skipped": "saturated"}
+    assert all(entry["pass"] for entry in checks.values())
 
 
 def _random_quadric(rng, d):
